@@ -175,8 +175,11 @@ class CampaignSummary:
 
     def __post_init__(self):
         if self.completed > 0:
-            assert self.best <= self.mean <= self.worst
-            assert self.std >= 0.0
+            if not self.best <= self.mean <= self.worst:
+                raise ValueError(f"summary needs best <= mean <= worst; got "
+                                 f"{self.best!r}, {self.mean!r}, {self.worst!r}")
+            if not self.std >= 0.0:
+                raise ValueError(f"summary needs std >= 0; got {self.std!r}")
 
 
 def resolve_problem(cfg: CampaignConfig) -> BoundedProblem:
@@ -290,6 +293,11 @@ class ScatterRecorder:
     Records the colony at iteration 0, every power-of-two iteration,
     and (via :meth:`flush`) the final state, so file size grows
     logarithmically with run length.
+
+    Between recordings only ``(home_id, x)`` references to the latest
+    colony are kept.  That relies on the engine's invariant that snail
+    positions are replaced, never mutated; the coordinates are turned
+    into Python floats only for the snapshots that get recorded.
     """
 
     def __init__(self):
@@ -298,16 +306,19 @@ class ScatterRecorder:
         self._latest_iter = -1
 
     def __call__(self, colony) -> None:
-        it = colony.iteration
-        snap = [(it, j, s.home_id, *[float(v) for v in s.x])
-                for j, s in enumerate(colony.snails)]
-        self._latest, self._latest_iter = snap, it
+        self._latest = [(s.home_id, s.x) for s in colony.snails]
+        self._latest_iter = it = colony.iteration
         if it == 0 or (it & (it - 1)) == 0:
-            self.rows.extend(snap)
+            self._record_latest()
+
+    def _record_latest(self) -> None:
+        it = self._latest_iter
+        self.rows.extend((it, j, home, *x.tolist())
+                         for j, (home, x) in enumerate(self._latest))
 
     def flush(self) -> None:
         if self._latest and (not self.rows or self.rows[-1][0] != self._latest_iter):
-            self.rows.extend(self._latest)
+            self._record_latest()
 
 
 def write_scatter_csv(out: Path, i: int, recorder: ScatterRecorder,
@@ -465,7 +476,7 @@ def generate_reports(results_dir) -> list[Path]:
     for path in sorted(root.rglob("summary.json")):
         try:
             cfg, summary, payload = load_campaign(path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             notices.append(f"skipped {path}: {exc}")
             continue
         if not cfg.export_stats:

@@ -4,8 +4,9 @@ Every search problem handled by this package is a box-constrained
 minimization problem: a callable objective together with elementwise
 lower/upper bounds.  This module defines the problem container, the
 evaluation counter used for budget accounting, and the two primitive
-operations every optimizer in the package goes through: ``clamp`` and
-``evaluate``.
+operations ``clamp`` and ``evaluate``.  Every evaluation goes through
+``evaluate``; the engine's move loop clamps its candidates in place
+with the same arithmetic as ``clamp``.
 
 Keeping all evaluations behind :func:`evaluate` guarantees that budget
 accounting is exact and that non-finite objective values are caught at
@@ -14,6 +15,7 @@ the point of evaluation rather than corrupting a search later on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,10 +96,6 @@ class EvalCounter:
 
     count: int = 0
 
-    def tick(self) -> int:
-        self.count += 1
-        return self.count
-
 
 def clamp(x: np.ndarray, problem: BoundedProblem) -> np.ndarray:
     """Project ``x`` onto the problem's box, componentwise.
@@ -120,8 +118,8 @@ def evaluate(problem: BoundedProblem, x: np.ndarray, counter: EvalCounter) -> fl
         here is a bug in the objective, not in the caller.
     """
     value = float(problem.func(np.asarray(x, dtype=float)))
-    counter.tick()
-    if not np.isfinite(value):
+    counter.count += 1
+    if not math.isfinite(value):
         raise NonFiniteObjective(problem.name, x, value)
     return value
 

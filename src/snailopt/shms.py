@@ -133,6 +133,10 @@ class SnailState:
     ``f_hist`` holds the objective at the current position followed by
     the values at the end of the two previous iterations (backfilled
     with the initial value right after initialization).
+
+    Positions are replaced, never mutated: a move assigns a fresh array
+    to ``x``, so an array once held by a snail (or an :class:`Anchor`)
+    keeps its values.  Observers may keep references instead of copies.
     """
 
     x: np.ndarray
@@ -306,9 +310,9 @@ def init_colony(problem: BoundedProblem, cfg: ShmsConfig,
     )
 
 
-def trail_following_update(snail: SnailState, fecund: SnailState,
-                           colony: ColonyState, problem: BoundedProblem,
-                           cfg: ShmsConfig, rng: np.random.Generator) -> np.ndarray:
+def trail_following_update(snail: SnailState, colony: ColonyState,
+                           problem: BoundedProblem, cfg: ShmsConfig,
+                           rng: np.random.Generator) -> np.ndarray:
     """Draw one candidate position for ``snail`` (clamped to the box).
 
     The snail follows the strongest trail in the colony — the one laid
@@ -328,11 +332,23 @@ def trail_following_update(snail: SnailState, fecund: SnailState,
     membership change persists even if the position is later discarded
     — the snail changed homes, not necessarily fortunes.  Callers can
     detect emigration by comparing ``snail.home_id`` before and after.
+
+    The candidate is a fresh array, built and clamped in place; neither
+    ``snail.x`` nor the best position is touched.
     """
-    switch = rng.random() < cfg.home_switch_prob and cfg.homes > 1
+    # one draw for the switch uniform and the dim trail uniforms: PCG64
+    # yields the same doubles as a scalar draw followed by a vector draw
+    r = rng.random(problem.dim + 1)
+    switch = r[0] < cfg.home_switch_prob and cfg.homes > 1
+    u = r[1:]
+    u *= 2.0
+    u -= 1.0
     best = colony.global_best.x
-    half_width = snail.ld_norm * np.abs(snail.x - best)
-    y = best + half_width * (2.0 * rng.random(problem.dim) - 1.0)
+    y = np.subtract(snail.x, best)
+    np.abs(y, out=y)
+    y *= snail.ld_norm
+    y *= u
+    y += best
     if switch:
         k = int(rng.integers(cfg.homes - 1))
         if k >= snail.home_id:
@@ -341,7 +357,9 @@ def trail_following_update(snail: SnailState, fecund: SnailState,
         anchor = colony.home_anchor[k].x
         d = int(rng.integers(problem.dim))
         y[d] = anchor[d] + colony.c[d] * (2.0 * rng.random() - 1.0)
-    return clamp(y, problem)
+    # maximum-then-minimum is what np.clip computes, without its wrapper
+    np.maximum(y, problem.lower, out=y)
+    return np.minimum(y, problem.upper, out=y)
 
 
 def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
@@ -387,18 +405,22 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
                 budget_hit = True
                 break
             home_before = s.home_id
-            y = trail_following_update(s, fecund, colony, problem, cfg, rng)
+            y = trail_following_update(s, colony, problem, cfg, rng)
             switched = s.home_id != home_before
-            if np.array_equal(y, s.x):
+            # count_nonzero of != is np.array_equal for same-shape arrays at
+            # half the call overhead (coordinates collapse onto the best
+            # position, so a first-coordinate shortcut rarely decides)
+            if not np.count_nonzero(y != s.x):
                 continue
-            if not switched and np.array_equal(y, colony.global_best.x):
+            if not switched and not np.count_nonzero(y != colony.global_best.x):
                 continue
             fy = evaluate(problem, y, colony.counter)
             if switched or fy <= s.f:
                 s.x = y
                 s.f = fy
                 if fy <= colony.global_best.f:
-                    colony.global_best = Anchor(x=y.copy(), f=fy)
+                    # positions are replaced, never mutated: y can be shared
+                    colony.global_best = Anchor(x=y, f=fy)
         if budget_hit:
             break
 

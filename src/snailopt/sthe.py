@@ -286,7 +286,9 @@ class CostReport:
 
     def __post_init__(self):
         gap = abs(self.total - (self.investment + self.discounted_operating))
-        assert gap <= 1e-6 * max(1.0, abs(self.total)), "cost identity violated"
+        if not gap <= 1e-6 * max(1.0, abs(self.total)):
+            raise ValueError(f"cost identity violated: total {self.total!r} is "
+                             f"not investment + discounted operating")
 
 
 def make_case(case_id: int) -> StheCase:

@@ -168,11 +168,10 @@ def test_roulette_select_never_overflows_index():
 def test_trail_zero_intensity_reproduces_best_position():
     problem = sphere(dim=3)
     colony = make_colony(problem, [[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]], [0, 0])
-    fecund = colony.snails[1]
     mover = colony.snails[0]
     mover.ld_norm = 0.0
     cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
-    y = trail_following_update(mover, fecund, colony, problem, cfg,
+    y = trail_following_update(mover, colony, problem, cfg,
                                np.random.default_rng(3))
     assert np.array_equal(y, colony.global_best.x)
 
@@ -184,7 +183,7 @@ def test_trail_snail_on_best_position_stays_exactly():
     mover = colony.snails[0]        # already sits on the global best
     mover.ld_norm = 0.83
     cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
-    y = trail_following_update(mover, colony.snails[1], colony, problem, cfg,
+    y = trail_following_update(mover, colony, problem, cfg,
                                np.random.default_rng(11))
     assert np.array_equal(y, colony.global_best.x)
 
@@ -199,7 +198,7 @@ def test_trail_draw_is_uniform_around_best():
     cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
     rng = np.random.default_rng(19)
     draws = np.array([
-        trail_following_update(mover, colony.snails[1], colony, problem, cfg, rng)[0]
+        trail_following_update(mover, colony, problem, cfg, rng)[0]
         for _ in range(2000)
     ])
     assert np.all(draws >= 1.0) and np.all(draws <= 3.0)
@@ -216,7 +215,7 @@ def test_trail_candidate_is_clamped_to_box():
     cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
     rng = np.random.default_rng(5)
     draws = np.array([
-        trail_following_update(mover, colony.snails[1], colony, problem, cfg, rng)[0]
+        trail_following_update(mover, colony, problem, cfg, rng)[0]
         for _ in range(500)
     ])
     assert np.all(draws >= -1.0) and np.all(draws <= 2.5)
@@ -232,8 +231,8 @@ def test_home_switch_reassigns_home_and_redraws_one_coordinate():
     cfg = ShmsConfig(homes=3, home_switch_prob=1.0)
     for seed in range(30):
         mover.home_id = 0
-        y = trail_following_update(mover, colony.snails[1], colony, problem,
-                                   cfg, np.random.default_rng(seed))
+        y = trail_following_update(mover, colony, problem, cfg,
+                                   np.random.default_rng(seed))
         assert mover.home_id in (1, 2)          # never the home it left
         anchor = colony.home_anchor[mover.home_id].x
         changed = np.flatnonzero(y != colony.global_best.x)
@@ -242,13 +241,27 @@ def test_home_switch_reassigns_home_and_redraws_one_coordinate():
         assert abs(y[d] - anchor[d]) <= colony.c[d]
 
 
+def test_trail_candidate_is_fresh_and_leaves_positions_untouched():
+    problem = sphere(dim=3, lo=-1.0, hi=1.0)
+    colony = make_colony(problem, [[0.9, -0.9, 0.5], [0.0, 0.1, 0.2]], [0, 0])
+    mover = colony.snails[0]
+    mover.ld_norm = 1.0
+    before = (mover.x.copy(), colony.global_best.x.copy())
+    cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
+    y = trail_following_update(mover, colony, problem, cfg,
+                               np.random.default_rng(4))
+    assert y is not mover.x and y is not colony.global_best.x
+    assert np.array_equal(mover.x, before[0])
+    assert np.array_equal(colony.global_best.x, before[1])
+
+
 def test_home_switch_is_impossible_with_a_single_home():
     problem = sphere(dim=2)
     colony = make_colony(problem, [[1.0, 1.0], [0.0, 0.0]], [0, 0])
     mover = colony.snails[0]
     mover.ld_norm = 0.0
     cfg = ShmsConfig(homes=1, home_switch_prob=1.0)
-    y = trail_following_update(mover, colony.snails[1], colony, problem, cfg,
+    y = trail_following_update(mover, colony, problem, cfg,
                                np.random.default_rng(2))
     assert mover.home_id == 0
     assert np.array_equal(y, colony.global_best.x)

@@ -1,0 +1,57 @@
+"""Golden trajectories: bitwise pins on a few seeded runs.
+
+Each pin is the SHA-256 of a run's ``best_trace``, ``final_x`` and
+``evals``, or of the bytes of a scatter CSV.  A refactor that claims to
+keep behaviour must keep every pin; a change that alters trajectories
+on purpose must update them and say why in CHANGES.md.  The pins hold
+for one interpreter/numpy/CPU combination: the objectives' ufuncs may
+round differently elsewhere.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from snailopt.harness import (CampaignConfig, default_budget, resolve_problem,
+                              run_campaign)
+from snailopt.shms import ShmsConfig, run
+
+
+def trajectory_digest(rec) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(rec.best_trace, dtype="<f8").tobytes())
+    h.update(np.asarray(rec.final_x, dtype="<f8").tobytes())
+    h.update(str(rec.evals).encode())
+    return h.hexdigest()
+
+
+# (problem, dim, seed, max_evals or None for the campaign default) -> digest
+TRIAL_PINS = {
+    ("F9", 30, 1, None): "fa206fd7c2fa749da8bd67204d9a3884e837c0d445fe52800a2c3966f6eef002",
+    ("F1", 500, 1, 20_000): "d17b502ac473857c1664de4d0e6279122e5e6eda7ae2ed13b2348b84b7f225d0",
+    ("sthe1", None, 1, None): "41df0482c6de7515db2a9fb5c8b1a508f2e56b3c682c31a6fa24dba07d3ef850",
+    ("F16", None, 7, None): "fede01d0ff026c58314a19ef6b382d9e443ee09b50c3a0d091d65d2002dcff75",
+}
+
+SCATTER_PIN = "6d920204e1a55056ecf15512f6e18d31cf9cc15b0540d1b14849c573a75c797a"
+
+
+@pytest.mark.parametrize("key", list(TRIAL_PINS), ids=lambda k: f"{k[0]}-s{k[2]}")
+def test_trial_trajectory_is_pinned(key):
+    problem_id, dim, seed, max_evals = key
+    cfg = CampaignConfig(problem=problem_id, dim=dim, max_evals=max_evals)
+    problem = resolve_problem(cfg)
+    rec = run(problem, ShmsConfig(max_evals=default_budget(cfg, problem), seed=seed))
+    assert trajectory_digest(rec) == TRIAL_PINS[key]
+
+
+def test_scatter_csv_is_pinned(tmp_path):
+    # 3003 evaluations end mid-iteration at a non-power-of-two iteration,
+    # so the final snapshot comes from flush()
+    cfg = CampaignConfig(problem="F1", dim=5, trials=1, base_seed=3,
+                         max_evals=3003, out_dir=str(tmp_path),
+                         export_scatter=True)
+    run_campaign(cfg)
+    data = (tmp_path / "scatter_000.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SCATTER_PIN

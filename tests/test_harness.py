@@ -271,6 +271,25 @@ def test_unreadable_summary_is_reported_not_fatal(tmp_path):
     assert "skipped" in (tmp_path / "report.txt").read_text()
 
 
+def test_missing_trial_file_is_reported_not_fatal(tmp_path):
+    run_campaign(small_cfg(tmp_path / "damaged", trials=3))
+    run_campaign(small_cfg(tmp_path / "intact", trials=3, label="intact"))
+    (tmp_path / "damaged" / "trial_001.json").unlink()
+    generate_reports(tmp_path)
+    text = (tmp_path / "report.txt").read_text()
+    assert "skipped" in text and "trial_001.json" in text
+    assert "campaigns found: 1" in text and "intact" in text
+
+
+def test_summary_invariants_raise_value_error():
+    args = dict(problem_key="F16", label="F16", trials=2, completed=2,
+                worst=3.0, std=0.5, avg_evals=10.0, avg_wall_time=0.1)
+    with pytest.raises(ValueError, match="best <= mean <= worst"):
+        harness.CampaignSummary(best=2.5, mean=2.0, **args)
+    with pytest.raises(ValueError, match="std >= 0"):
+        harness.CampaignSummary(best=1.0, mean=2.0, **{**args, "std": -1.0})
+
+
 def test_output_schemas_cover_every_artifact():
     docs = output_schemas()
     text = json.dumps(docs)

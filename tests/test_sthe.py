@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from snailopt.sthe import (INFEASIBLE_COST, DomainError, case_json,
-                           closeness_direction, closeness_percent,
+from snailopt.sthe import (INFEASIBLE_COST, CostReport, DomainError,
+                           case_json, closeness_direction, closeness_percent,
                            design_report, evaluate_design, make_case,
                            make_problem, published_tables, total_cost)
 
@@ -111,6 +111,12 @@ def test_cost_identity_and_discounting():
     assert report.discounted_operating == pytest.approx(
         report.annual_operating * 6.1445671, rel=1e-6)
     assert report.pumping_power > 0.0
+
+
+def test_cost_identity_violation_raises_value_error():
+    with pytest.raises(ValueError, match="cost identity"):
+        CostReport(investment=1.0, annual_operating=1.0,
+                   discounted_operating=1.0, total=5.0, pumping_power=1.0)
 
 
 def test_investment_grows_with_exchange_area():
