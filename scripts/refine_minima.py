@@ -1,7 +1,10 @@
 """One-off: polish literature minimizers for the fixed-dimension test
 functions to full float precision so the catalog can store a
 self-consistent (x_min, f_min) pair.  Results are frozen into
-snailopt/benchmarks.py; this script is kept for provenance."""
+snailopt/benchmarks.py; this script is kept for provenance.
+
+It needs scipy (``scipy.optimize``), which the package itself does not;
+``pip install -e ".[test]"`` installs it."""
 
 import numpy as np
 from scipy.optimize import minimize

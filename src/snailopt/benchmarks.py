@@ -28,10 +28,9 @@ Notes on the catalog values
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -394,16 +393,3 @@ def catalog_json() -> dict:
             "f_min_per_dim": spec.f_min_per_dim,
         })
     return {"schema": "snailopt.benchmark_catalog/1", "functions": entries}
-
-
-if __name__ == "__main__":
-    # every catalog minimizer must reproduce its catalog minimum
-    for fid in CATALOG:
-        prob = make_benchmark(fid)
-        f_min, x_min = known_optimum(fid)
-        got = prob.func(x_min)
-        tol = 1e-8 if f_min == 0.0 else 1e-4
-        assert abs(got - f_min) <= tol, (fid, got, f_min)
-    assert make_benchmark("F1", 500).dim == 500
-    print(json.dumps(catalog_json(), indent=2)[:400], "...")
-    print("benchmark self-checks passed")

@@ -29,21 +29,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import CATALOG, catalog_json, make_benchmark
+from .benchmarks import CATALOG, make_benchmark
 from .objective import BoundedProblem, NonFiniteObjective
 from .shms import RunRecord, ShmsConfig, run
 from .stats import (NoInformation, friedman_ranks, wilcoxon_signed_rank,
                     write_table_csv)
-from .sthe import (closeness_direction, closeness_percent, make_case,
-                   make_problem, published_tables)
+from .sthe import (closeness_direction, closeness_percent, make_problem,
+                   published_tables)
 
 log = logging.getLogger("snailopt.harness")
 
@@ -586,77 +584,3 @@ def output_schemas() -> dict:
     """The bundled description of every artifact's columns/fields."""
     ref = resources.files("snailopt.data").joinpath("output_schemas.json")
     return json.loads(ref.read_text())
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    logging.basicConfig(level=logging.WARNING)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-
-        # small deterministic campaign on a fixed-dimension function
-        cfg = CampaignConfig(problem="F16", trials=5, base_seed=7,
-                             max_evals=1500, out_dir=str(base / "camp1"),
-                             export_scatter=True)
-        s1 = run_campaign(cfg)
-        assert s1.completed == 5 and s1.trials == 5
-        assert s1.best <= s1.mean <= s1.worst
-        assert abs(s1.best - (-1.0316284534898774)) < 1e-6, s1.best
-
-        # determinism: same config, fresh directory, identical summary
-        cfg2 = dataclasses.replace(cfg, out_dir=str(base / "camp2"))
-        s2 = run_campaign(cfg2)
-        assert (s1.best, s1.worst, s1.mean, s1.std) == (s2.best, s2.worst,
-                                                        s2.mean, s2.std)
-        assert s1.avg_evals == s2.avg_evals
-
-        # persisted records re-summarize to the emitted summary exactly
-        cfg_r, recomputed, payload = load_campaign(base / "camp1" / "summary.json")
-        assert recomputed == s1
-        assert cfg_r == cfg
-        assert payload["summary"] == dataclasses.asdict(s1)
-
-        # artifacts exist and parse
-        names = {p.name for p in (base / "camp1").iterdir()}
-        assert {"summary.json", "trial_000.json", "trace_000.csv",
-                "scatter_000.csv"} <= names
-        trace = read_trace_csv(base / "camp1" / "trace_000.csv")
-        rec0 = read_trial_record(base / "camp1" / "trial_000.json")
-        assert trace[0][0] == 0 and trace[-1][1] == rec0["final_f"]
-        assert [v for _k, v in trace] == rec0["best_trace"]
-
-        # a second campaign on the same problem enables the pairwise table
-        cfg3 = CampaignConfig(problem="F16", trials=5, base_seed=99,
-                              max_evals=900, out_dir=str(base / "camp3"),
-                              label="F16-alt")
-        run_campaign(cfg3)
-        files = generate_reports(base)
-        names = {p.name for p in files}
-        assert {"friedman_published.csv", "wilcoxon_pairwise.csv",
-                "report.txt"} <= names
-
-        # published-means Friedman spot checks
-        rows = published_friedman_rows()
-        d30 = {r["algorithm"]: r for r in rows if r["table"] == "dim30"}
-        assert abs(d30["AVOA"]["mean_rank"] - 2.5) < 1e-3
-        assert d30["AVOA"]["rank"] == 1
-        assert abs(d30["SHMS"]["mean_rank"] - 3.2692) < 1e-3
-        assert d30["SHMS"]["rank"] == 2
-
-        # empty directory still yields a report with an explicit notice
-        files = generate_reports(base / "empty")
-        report = (base / "empty" / "report.txt").read_text()
-        assert "no campaigns found" in report
-
-        # config round-trip
-        assert CampaignConfig.from_dict(cfg.to_dict()) == cfg
-
-        schemas = output_schemas()
-        assert TRIAL_SCHEMA in schemas["schemas"]
-
-        assert catalog_json()["functions"][0]["id"] == "F1"
-        assert make_case(1).duty == 4.34e6
-
-    print("harness self-checks passed")

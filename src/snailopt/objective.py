@@ -16,7 +16,7 @@ the point of evaluation rather than corrupting a search later on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -122,38 +122,3 @@ def evaluate(problem: BoundedProblem, x: np.ndarray, counter: EvalCounter) -> fl
     if not math.isfinite(value):
         raise NonFiniteObjective(problem.name, x, value)
     return value
-
-
-if __name__ == "__main__":
-    # quick self-checks
-    sphere = BoundedProblem(
-        name="sphere-3d",
-        dim=3,
-        lower=np.full(3, -5.0),
-        upper=np.full(3, 5.0),
-        func=lambda x: float(np.dot(x, x)),
-    )
-    c = EvalCounter()
-    x_in = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(clamp(x_in, sphere), x_in)
-    assert np.array_equal(clamp(sphere.upper + 1.0, sphere), sphere.upper)
-    assert np.array_equal(clamp(clamp(x_in, sphere), sphere), clamp(x_in, sphere))
-    v = evaluate(sphere, np.zeros(3), c)
-    assert v == 0.0 and c.count == 1
-    evaluate(sphere, x_in, c)
-    assert c.count == 2
-
-    bad = BoundedProblem(
-        name="bad",
-        dim=1,
-        lower=np.array([-1.0]),
-        upper=np.array([1.0]),
-        func=lambda x: float("nan"),
-    )
-    try:
-        evaluate(bad, np.zeros(1), c)
-    except NonFiniteObjective as err:
-        assert err.x.shape == (1,)
-    else:
-        raise AssertionError("non-finite value must raise")
-    print("objective self-checks passed")

@@ -474,35 +474,3 @@ def run(problem: BoundedProblem, cfg: ShmsConfig, observer=None) -> RunRecord:
         evals=colony.counter.count,
         wall_time=time.perf_counter() - t0,
     )
-
-
-if __name__ == "__main__":
-    from .benchmarks import make_benchmark
-
-    rng = np.random.default_rng(0)
-    assert fecundity_index(5.0, 7.0, 9.0, rng) == 0.5
-    assert abs(love_dart_raw(0.5, 3.0, 1.0) - 1.0) < 1e-15
-    assert love_dart_raw(2.0, 1.0, 3.0) == -0.25
-    assert love_dart_raw(1.0, 2.0, 2.0) == LARGE_LD
-    p = selection_probabilities([1.0, 3.0])
-    assert abs(p[0] - 0.75) < 1e-12 and abs(p[1] - 0.25) < 1e-12
-    assert abs(p.sum() - 1.0) < 1e-12
-    q = selection_probabilities([-2.0, 0.0, 2.0])
-    assert q[0] > q[1] > q[2] > 0.0
-    assert np.allclose(normalize_ld([0.0, 5.0, 10.0]), [0.0, 0.5, 1.0])
-    assert np.allclose(normalize_ld([7.0, 7.0, 7.0]), 0.5)
-    assert np.allclose(normalize_ld([-0.25, 1.0]), [0.0, 1.0])
-    hits = sum(roulette_select([0.75, 0.25], rng) == 0 for _ in range(100_000))
-    assert abs(hits / 100_000 - 0.75) < 0.01, hits
-
-    sphere2 = make_benchmark("F1", 2)
-    rec = run(sphere2, ShmsConfig(max_evals=5000, seed=1))
-    assert rec.final_f <= 1e-6, rec.final_f
-    assert rec.final_f == rec.best_trace[-1]
-    assert all(a >= b for a, b in zip(rec.best_trace, rec.best_trace[1:]))
-    rec2 = run(sphere2, ShmsConfig(max_evals=5000, seed=1))
-    assert rec2.final_f == rec.final_f and rec2.evals == rec.evals
-    assert np.array_equal(rec2.final_x, rec.final_x)
-    print(f"sphere-2d: f={rec.final_f:.3e} after {rec.evals} evals "
-          f"({len(rec.best_trace) - 1} iterations)")
-    print("shms self-checks passed")

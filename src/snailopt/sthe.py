@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -712,57 +712,3 @@ def case_json(case: StheCase) -> str:
             "wall_viscosity": s.wall_viscosity,
         }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-if __name__ == "__main__":
-    # self-checks against the published reference designs
-    refs = {
-        1: ((0.0100, 0.6447, 0.4166, 1.1121), 41718.6558),
-        2: ((0.0114, 0.4000, 0.1526, 0.6900), 19084.3059),
-        3: ((0.0100, 0.4702, 0.5104, 0.7054), 20744.3639),
-    }
-    for cid, (dvec, published) in refs.items():
-        case = make_case(cid)
-        design, cost = evaluate_design(case, dvec)
-        rel = abs(cost.total - published) / published
-        print(f"case {cid}: C_total={cost.total:.4f}  published={published}  rel={rel:.2e}")
-        assert rel < 0.005, (cid, cost.total, published)
-        assert abs(cost.total - (cost.investment + cost.discounted_operating)) < 1e-6
-        assert total_cost(case, dvec) == cost.total
-
-    case1 = make_case(1)
-    assert case1.duty == 4.34e6
-    assert make_case(2).duty == 1.44e6
-    assert make_case(3).duty == 0.46e6
-    assert abs(case1.correction_factor - 0.8122) < 5e-4
-    assert abs(case1.lmtd - 30.7856) < 1e-3
-
-    # out-of-bounds / penalty policy
-    bad = (0.2, 0.6447, 0.4166, 1.1121)
-    try:
-        evaluate_design(case1, bad)
-    except DomainError:
-        pass
-    else:
-        raise AssertionError("out-of-bounds design must raise")
-    assert total_cost(case1, bad) == INFEASIBLE_COST
-
-    # closeness examples from the comparison table
-    assert abs(closeness_percent(41913.54, 41718.6558) - 0.4649) < 1e-3
-    assert abs(closeness_percent(19198.58, 19084.3059) - 0.5952) < 1e-3
-    assert abs(closeness_percent(20802.09, 20744.3639) - 0.2775) < 1e-3
-    assert closeness_direction(0.4649) == "↑"
-    assert closeness_direction(-2.1) == "↓"
-    assert closeness_percent(123.4, 123.4) == 0.0
-
-    # capital cost grows with required area
-    d1, c1 = evaluate_design(case1, (0.0100, 0.6447, 0.4166, 1.1121))
-    d2, c2 = evaluate_design(case1, (0.0100, 0.7447, 0.4166, 1.1121))
-    assert d2.area != d1.area
-    assert (c2.investment > c1.investment) == (d2.area > d1.area)
-
-    rep = design_report(d1, c1, header="case 1")
-    assert "C_total" in rep and "N_t" in rep
-
-    print(design_report(d1, c1, header="case-1 reference"))
-    print("sthe self-checks passed")

@@ -3,13 +3,18 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import snailopt
 from snailopt import cli, harness
+from snailopt.benchmarks import known_optimum
 from snailopt.harness import (BENCHMARK_BUDGET_LARGE, BENCHMARK_BUDGET_SMALL,
                               SCATTER_SCHEMA, STHE_BUDGETS, SUMMARY_SCHEMA,
                               TRACE_SCHEMA, TRIAL_SCHEMA, CampaignConfig,
@@ -131,6 +136,12 @@ def test_identical_configs_reproduce_bitwise(tmp_path):
     assert fa == fb
     assert a.best == b.best and a.mean == b.mean and a.std == b.std
     assert a.avg_evals == b.avg_evals  # wall times may differ
+
+
+def test_campaign_finds_the_known_minimum(tmp_path):
+    summary = run_campaign(small_cfg(tmp_path / "camp", max_evals=1500))
+    f_min, _ = known_optimum("F16")
+    assert summary.best == pytest.approx(f_min, abs=1e-6)
 
 
 def test_different_seeds_change_the_outcome(tmp_path):
@@ -317,6 +328,43 @@ def test_cli_run_then_report(tmp_path, capsys):
     assert cli.main(["report", "--in", str(tmp_path)]) == 0
     listed = capsys.readouterr().out
     assert "friedman_published.csv" in listed and "report.txt" in listed
+
+
+#: run in a fresh interpreter where any scipy import raises ImportError;
+#: two 21-trial campaigns pair on the normal branch, each of them with
+#: the 5-trial one on the exact branch
+SCIPY_FREE_CAMPAIGNS = """
+import sys
+sys.modules["scipy"] = None
+from snailopt import cli
+out = sys.argv[1]
+for label, trials, seed in (("long-a", 21, 1), ("long-b", 21, 101),
+                            ("short", 5, 201)):
+    assert cli.main(["run", "--problem", "F16", "--trials", str(trials),
+                     "--max-evals", "100", "--seed", str(seed),
+                     "--out", f"{out}/{label}", "--label", label]) == 0
+assert cli.main(["report", "--in", out]) == 0
+"""
+
+
+def run_python(code, *args):
+    src = str(Path(snailopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    plain = run_python("import sys, snailopt.cli; print(sorted("
+                       "m for m in sys.modules if m.startswith('scipy')))")
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout.strip() == "[]"
+
+    blocked = run_python(SCIPY_FREE_CAMPAIGNS, str(tmp_path))
+    assert blocked.returncode == 0, blocked.stderr
+    rows = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
+    assert sorted(r["method"] for r in rows) == ["exact", "exact", "normal"]
 
 
 def test_cli_catalog(capsys):

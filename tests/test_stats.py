@@ -10,7 +10,7 @@ from scipy import stats as sps
 from scipy.stats import rankdata
 
 from snailopt.stats import (EXACT_LIMIT, FriedmanResult, NoInformation,
-                            WilcoxonResult, _exact_two_sided_p,
+                            WilcoxonResult, _exact_two_sided_p, _midranks,
                             format_friedman_text, format_pairwise_text,
                             friedman_ranks, pairwise_table, read_matrix_csv,
                             read_table_csv, wilcoxon_signed_rank,
@@ -47,6 +47,43 @@ def pairs_with_nonzero(n_nonzero, rng):
     a = np.concatenate([d.astype(float), np.zeros(pad)]) + 10.0
     b = np.full(a.size, 10.0)
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# midranks
+# ---------------------------------------------------------------------------
+
+def _tied_samples():
+    rng = np.random.default_rng(41)
+    for size in (2, 3, 7, 20, 21, 60, 200):
+        yield pytest.param(np.round(3.0 * rng.normal(size=size)),
+                           id=f"integers-n{size}")
+        yield pytest.param(np.round(rng.normal(size=size), 1),
+                           id=f"tenths-n{size}")
+
+
+@pytest.mark.parametrize("values", [
+    *_tied_samples(),
+    pytest.param(np.array([2.5]), id="single"),
+    pytest.param(np.full(9, 4.0), id="all-equal"),
+    pytest.param(np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0]),
+                 id="signed-zeros"),
+])
+def test_midranks_equal_scipy_rankdata_bit_for_bit(values):
+    got = _midranks(values)
+    ref = rankdata(values)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_nan_results_are_rejected_not_ranked():
+    for n in (6, EXACT_LIMIT + 5):
+        a = np.arange(1.0, n + 1.0)
+        a[2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank(a, np.zeros(n))
+    with pytest.raises(ValueError, match="NaN"):
+        friedman_ranks([[1.0, np.nan], [1.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +185,21 @@ def test_normal_approximation_tracks_the_exact_tail():
     ranks = rankdata(np.abs(d))
     exact = _exact_two_sided_p(ranks, min(res.t_plus, res.t_minus))
     assert abs(res.p_value - exact) < 0.02, (res.p_value, exact)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3, 0.8, 1.5])
+@pytest.mark.parametrize("n", [EXACT_LIMIT + 1, 40, 120])
+def test_normal_p_value_matches_scipy_normal_tail(n, shift):
+    rng = np.random.default_rng(n)
+    d = np.round(rng.normal(shift, 1.0, n), 1)  # many tied |d|
+    d[d == 0.0] = 0.1  # a zero would drop the smallest case to exact
+    res = wilcoxon_signed_rank(d, np.zeros(n))
+    assert res.method == "normal"
+    ranks = rankdata(np.abs(d))
+    z = ((min(res.t_plus, res.t_minus) - n * (n + 1) / 4.0 + 0.5)
+         / np.sqrt(np.sum(ranks ** 2) / 4.0))
+    ref = min(1.0, 2.0 * float(sps.norm.cdf(z)))
+    assert res.p_value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=5, max_size=18))

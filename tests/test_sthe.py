@@ -190,6 +190,20 @@ def test_best_reported_designs_reproduce_their_totals(tables):
         assert got == pytest.approx(entry["c_total"], rel=5e-3), (cid, got)
 
 
+@pytest.mark.parametrize("case_id,decision,published,duty", [
+    (1, (0.0100, 0.6447, 0.4166, 1.1121), 41718.6558, 4.34e6),
+    (2, (0.0114, 0.4000, 0.1526, 0.6900), 19084.3059, 1.44e6),
+    (3, (0.0100, 0.4702, 0.5104, 0.7054), 20744.3639, 0.46e6),
+])
+def test_default_cases_reproduce_the_published_designs(case_id, decision,
+                                                       published, duty):
+    case = make_case(case_id)
+    assert case.duty == duty
+    _, cost = evaluate_design(case, decision)
+    assert cost.total == pytest.approx(published, rel=5e-3)
+    assert total_cost(case, decision) == cost.total
+
+
 def test_every_stored_profile_recomputes_its_model_total(tables):
     checked = 0
     for cid in (1, 2, 3):
@@ -260,6 +274,7 @@ def test_closeness_percent_examples():
     assert closeness_percent(100.0, 104.0) == pytest.approx(-4.0, abs=1e-12)
     assert closeness_percent(50793.0, 41718.6558) == pytest.approx(
         17.8653, abs=1e-3)
+    assert closeness_percent(123.4, 123.4) == 0.0
 
 
 def test_closeness_percent_rejects_nonpositive_costs():
