@@ -7,8 +7,8 @@ packaged with:
 * the classical 23-function benchmark catalog (``benchmarks``),
 * a shell-and-tube heat exchanger sizing application with three
   published reference cases (``sthe``),
-* nonparametric result statistics: exact paired signed-rank tests and
-  Friedman mean ranks (``stats``),
+* the statistics behind the report's tables: exact paired signed-rank
+  tests and Friedman mean ranks (``stats``),
 * a campaign runner / report generator and its CLI (``harness``,
   ``cli``).
 
@@ -24,7 +24,7 @@ from .objective import BoundedProblem, EvalCounter, NonFiniteObjective
 from .benchmarks import CATALOG, CANONICAL_DIMS, known_optimum, make_benchmark
 from .shms import RunRecord, ShmsConfig, run
 from .stats import (FriedmanResult, NoInformation, WilcoxonResult,
-                    friedman_ranks, pairwise_table, wilcoxon_signed_rank)
+                    friedman_ranks, wilcoxon_signed_rank)
 from .sthe import (CostReport, DomainError, StheCase, StheDesign,
                    closeness_percent, evaluate_design, make_case,
                    make_problem, total_cost)
@@ -58,7 +58,6 @@ __all__ = [
     "make_benchmark",
     "make_case",
     "make_problem",
-    "pairwise_table",
     "run",
     "run_campaign",
     "total_cost",

@@ -236,13 +236,9 @@ def summarize(cfg: CampaignConfig, finals, evals, walls) -> CampaignSummary:
 # artifact writers / readers
 # ---------------------------------------------------------------------------
 
-def _trial_path(out: Path, i: int) -> Path:
-    return out / f"trial_{i:03d}.json"
-
-
 def write_trial_record(out: Path, cfg: CampaignConfig, i: int,
                        budget: int, rec: RunRecord) -> Path:
-    path = _trial_path(out, i)
+    path = out / f"trial_{i:03d}.json"
     payload = {
         "schema": TRIAL_SCHEMA,
         "problem": cfg.problem_key,
@@ -261,7 +257,7 @@ def write_trial_record(out: Path, cfg: CampaignConfig, i: int,
 
 def read_trial_record(path) -> dict:
     d = json.loads(Path(path).read_text())
-    if d.get("schema") != TRIAL_SCHEMA:
+    if not isinstance(d, dict) or d.get("schema") != TRIAL_SCHEMA:
         raise ValueError(f"{path}: not a {TRIAL_SCHEMA} file")
     return d
 
@@ -349,7 +345,7 @@ def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,
 
 def read_summary(path) -> dict:
     d = json.loads(Path(path).read_text())
-    if d.get("schema") != SUMMARY_SCHEMA:
+    if not isinstance(d, dict) or d.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} file")
     return d
 
@@ -422,6 +418,17 @@ def load_campaign(summary_path) -> tuple[CampaignConfig, CampaignSummary, dict]:
     return cfg, summarize(cfg, finals, evals, walls), payload
 
 
+def _check_finals(summary_path, payload: dict) -> None:
+    """Raise ``ValueError`` unless ``finals``, which the signed-rank table
+    pairs, lists the records' ``final_f`` in ``record_files`` order."""
+    base = Path(summary_path).parent
+    finals = [read_trial_record(base / name)["final_f"]
+              for name in payload["record_files"]]
+    if payload.get("finals") != finals:
+        raise ValueError(f"{summary_path}: 'finals' is missing or does not "
+                         "match the trial records")
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -474,7 +481,8 @@ def generate_reports(results_dir) -> list[Path]:
     for path in sorted(root.rglob("summary.json")):
         try:
             cfg, summary, payload = load_campaign(path)
-        except (OSError, ValueError, KeyError) as exc:
+            _check_finals(path, payload)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             notices.append(f"skipped {path}: {exc}")
             continue
         if not cfg.export_stats:

@@ -143,8 +143,6 @@ class SnailState:
     f: float
     f_hist: tuple[float, float, float]
     home_id: int
-    I: float = 0.0
-    ld_raw: float = 0.0
     ld_norm: float = 0.0
 
 
@@ -386,19 +384,20 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
         members = colony.members(h)
         if not members:
             continue  # emptied by emigration; anchor keeps last memory
-        for s in members:
-            s.I = fecundity_index(s.f_hist[0], s.f_hist[1], s.f_hist[2], rng)
+        fecundity = [fecundity_index(s.f_hist[0], s.f_hist[1], s.f_hist[2], rng)
+                     for s in members]
         probs = selection_probabilities([s.f for s in members])
-        fecund = members[roulette_select(probs, rng)]
-        fecund.ld_raw = LARGE_LD
+        k = roulette_select(probs, rng)
+        fecund = members[k]
         fecund.ld_norm = 1.0
-        others = [s for s in members if s is not fecund]
+        others = members[:k] + members[k + 1:]
         if others:
-            raws = [love_dart_raw(s.I, s.f, fecund.f) for s in others]
+            del fecundity[k]
+            raws = [love_dart_raw(fi, s.f, fecund.f)
+                    for fi, s in zip(fecundity, others)]
             finite = [r for r in raws if abs(r) < LARGE_LD]
             norms = iter(normalize_ld(finite)) if finite else None
             for s, raw in zip(others, raws):
-                s.ld_raw = float(raw)
                 s.ld_norm = 1.0 if abs(raw) >= LARGE_LD else float(next(norms))
         for s in others:
             if colony.counter.count >= cfg.max_evals:

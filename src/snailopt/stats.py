@@ -17,9 +17,8 @@ Both need only midranks, computed in numpy, and the normal branch one
 tail probability, from :func:`math.erfc`; scipy is not needed at run
 time (the tests use ``scipy.stats`` as the oracle for both).
 
-A small I/O layer reads result matrices from CSV and emits the
-pairwise and ranking tables both as CSV (exact float round-trip via
-``repr``) and as aligned text for eyeballing.
+:func:`write_table_csv` writes result rows as CSV, floats via ``repr``
+so they read back exactly.
 """
 
 from __future__ import annotations
@@ -34,14 +33,8 @@ __all__ = [
     "FriedmanResult",
     "NoInformation",
     "WilcoxonResult",
-    "format_friedman_text",
-    "format_pairwise_text",
     "friedman_ranks",
-    "pairwise_table",
-    "read_matrix_csv",
-    "read_table_csv",
     "wilcoxon_signed_rank",
-    "write_matrix_csv",
     "write_table_csv",
 ]
 
@@ -205,67 +198,9 @@ def friedman_ranks(mean_matrix, labels=None) -> FriedmanResult:
                           ordering=ordering)
 
 
-def pairwise_table(values: dict, baseline: str, alpha: float = 0.05) -> list[dict]:
-    """One signed-rank row per rival algorithm against ``baseline``.
-
-    ``values`` maps algorithm label to its per-problem result vector;
-    all vectors must be aligned (same problems, same order).  Rows
-    where every difference is zero are reported with winner
-    ``"no information"`` instead of aborting the table.
-    """
-    if baseline not in values:
-        raise ValueError(f"baseline {baseline!r} missing from values")
-    base = np.asarray(values[baseline], dtype=float)
-    rows = []
-    for label, vec in values.items():
-        if label == baseline:
-            continue
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != base.shape:
-            raise ValueError(f"result vector for {label!r} is misaligned")
-        try:
-            r = wilcoxon_signed_rank(vec, base, alpha=alpha,
-                                     labels=(label, baseline))
-            row = {"algorithm": label, "n_nonzero": r.n_nonzero,
-                   "p_value": r.p_value, "t_plus": r.t_plus,
-                   "t_minus": r.t_minus, "winner": r.winner,
-                   "significant": r.significant, "method": r.method}
-        except NoInformation:
-            row = {"algorithm": label, "n_nonzero": 0, "p_value": 1.0,
-                   "t_plus": 0.0, "t_minus": 0.0, "winner": "no information",
-                   "significant": False, "method": "none"}
-        rows.append(row)
-    return rows
-
-
 # ---------------------------------------------------------------------------
-# CSV / text I/O
+# CSV output
 # ---------------------------------------------------------------------------
-
-def write_matrix_csv(path, problem_ids, labels, matrix) -> None:
-    """Write a problems x algorithms result matrix with headers."""
-    m = np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["problem", *labels])
-        for pid, row in zip(problem_ids, m):
-            w.writerow([pid, *[repr(float(v)) for v in row]])
-
-
-def read_matrix_csv(path):
-    """Read a matrix written by :func:`write_matrix_csv`.
-
-    Returns
-    -------
-    (problem_ids, labels, matrix)
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    labels = tuple(rows[0][1:])
-    problem_ids = [r[0] for r in rows[1:]]
-    matrix = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return problem_ids, labels, matrix
-
 
 def write_table_csv(path, rows: list[dict]) -> None:
     """Write a list of uniform dict rows; floats round-trip exactly."""
@@ -280,51 +215,3 @@ def write_table_csv(path, rows: list[dict]) -> None:
         for row in rows:
             w.writerow({k: repr(v) if isinstance(v, float) else v
                         for k, v in row.items()})
-
-
-def read_table_csv(path) -> list[dict]:
-    """Read back a table written by :func:`write_table_csv`.
-
-    Values are restored as float / int / bool / str by literal parsing,
-    so a write-read cycle reproduces the original rows exactly.
-    """
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            parsed = {}
-            for k, v in row.items():
-                if v in ("True", "False"):
-                    parsed[k] = v == "True"
-                else:
-                    try:
-                        parsed[k] = int(v)
-                    except ValueError:
-                        try:
-                            parsed[k] = float(v)
-                        except ValueError:
-                            parsed[k] = v
-            out.append(parsed)
-    return out
-
-
-def format_pairwise_text(rows: list[dict], baseline: str) -> str:
-    """Aligned-text rendering of :func:`pairwise_table` output."""
-    lines = [f"pairwise signed-rank vs {baseline}",
-             f"{'algorithm':<12} {'n':>3} {'p-value':>12} {'T+':>8} "
-             f"{'T-':>8} {'winner':<14} sig"]
-    for r in rows:
-        lines.append(f"{r['algorithm']:<12} {r['n_nonzero']:>3} "
-                     f"{r['p_value']:>12.4e} {r['t_plus']:>8.1f} "
-                     f"{r['t_minus']:>8.1f} {r['winner']:<14} "
-                     f"{'*' if r['significant'] else ''}")
-    return "\n".join(lines) + "\n"
-
-
-def format_friedman_text(result: FriedmanResult) -> str:
-    """Aligned-text rendering of mean ranks, best first."""
-    lines = ["mean ranks (lower is better)",
-             f"{'algorithm':<12} {'mean rank':>10} {'rank':>5}"]
-    for j in np.argsort(result.ordering):
-        lines.append(f"{result.labels[j]:<12} {result.mean_ranks[j]:>10.4f} "
-                     f"{result.ordering[j]:>5d}")
-    return "\n".join(lines) + "\n"

@@ -57,8 +57,6 @@ __all__ = [
     "INFEASIBLE_COST",
     "closeness_percent",
     "closeness_direction",
-    "case_json",
-    "design_report",
     "evaluate_design",
     "make_case",
     "make_problem",
@@ -619,96 +617,3 @@ def closeness_percent(reference: float, candidate: float) -> float:
 def closeness_direction(value: float) -> str:
     """Direction flag for a closeness value: up = candidate is better."""
     return "↑" if value >= 0.0 else "↓"
-
-
-_REPORT_ROWS = [
-    ("D_s (m)", lambda d, c: d.shell_diameter),
-    ("L (m)", lambda d, c: d.length),
-    ("b (m)", lambda d, c: d.baffle_spacing),
-    ("d_o (m)", lambda d, c: d.d_o),
-    ("P_t (m)", lambda d, c: d.pitch),
-    ("C_1 (m)", lambda d, c: d.clearance),
-    ("n_t", lambda d, c: d.passes),
-    ("N_t", lambda d, c: d.tube_count),
-    ("v_t (m/s)", lambda d, c: d.v_tube),
-    ("Re_t", lambda d, c: d.re_tube),
-    ("Pr_t", lambda d, c: d.pr_tube),
-    ("h_t (W/m^2 K)", lambda d, c: d.h_tube),
-    ("f_t", lambda d, c: d.f_tube),
-    ("dP_t (Pa)", lambda d, c: d.dp_tube),
-    ("a_s (m^2)", lambda d, c: d.cross_area),
-    ("D_e (m)", lambda d, c: d.d_equiv),
-    ("v_s (m/s)", lambda d, c: d.v_shell),
-    ("Re_s", lambda d, c: d.re_shell),
-    ("Pr_s", lambda d, c: d.pr_shell),
-    ("h_s (W/m^2 K)", lambda d, c: d.h_shell),
-    ("f_s", lambda d, c: d.f_shell),
-    ("dP_s (Pa)", lambda d, c: d.dp_shell),
-    ("U (W/m^2 K)", lambda d, c: d.u_overall),
-    ("S (m^2)", lambda d, c: d.area),
-    ("C_inv (eur)", lambda d, c: c.investment),
-    ("C_annual (eur/yr)", lambda d, c: c.annual_operating),
-    ("C_total_disc (eur)", lambda d, c: c.discounted_operating),
-    ("C_total (eur)", lambda d, c: c.total),
-]
-
-
-def design_report(design: StheDesign, cost: CostReport, header: str = "value") -> str:
-    """Row-per-parameter text table of a design, one parameter per line."""
-    width = max(len(name) for name, _ in _REPORT_ROWS)
-    lines = [f"{'Parameter'.ljust(width)}  {header}"]
-    for name, get in _REPORT_ROWS:
-        val = get(design, cost)
-        if isinstance(val, int):
-            text = str(val)
-        else:
-            text = f"{val:.4f}"
-        lines.append(f"{name.ljust(width)}  {text}")
-    return "\n".join(lines)
-
-
-def case_json(case: StheCase) -> str:
-    """Serialize case parameters + bounds so experiments are auditable."""
-    payload = {
-        "case_id": case.case_id,
-        "label": case.label,
-        "duty_w": case.duty,
-        "passes": case.passes,
-        "layout": case.layout,
-        "elbow_loss": case.elbow_loss,
-        "lmtd": case.lmtd,
-        "correction_factor": case.correction_factor,
-        "bounds": {
-            "d_o": list(case.d_o_bounds),
-            "D_s": list(case.shell_bounds),
-            "b": list(case.baffle_bounds),
-            "L": list(case.length_bounds),
-        },
-        "streams": {},
-        "economics": {
-            "base_cost": case.economics.base_cost,
-            "area_coeff": case.economics.area_coeff,
-            "area_exp": case.economics.area_exp,
-            "energy_price_per_kwh": case.economics.energy_price,
-            "hours_per_year": case.economics.hours_per_year,
-            "discount_rate": case.economics.discount_rate,
-            "horizon_years": case.economics.horizon_years,
-            "pump_efficiency": case.economics.pump_efficiency,
-            "efficiency_on_shell": case.economics.efficiency_on_shell,
-        },
-    }
-    for side in ("shell", "tube"):
-        s: StreamState = getattr(case, side)
-        payload["streams"][side] = {
-            "name": s.name,
-            "mass_flow": s.mass_flow,
-            "t_in": s.t_in,
-            "t_out": s.t_out,
-            "density": s.density,
-            "heat_capacity": s.heat_capacity,
-            "viscosity": s.viscosity,
-            "conductivity": s.conductivity,
-            "fouling": s.fouling,
-            "wall_viscosity": s.wall_viscosity,
-        }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from snailopt.harness import (BENCHMARK_BUDGET_LARGE, BENCHMARK_BUDGET_SMALL,
                               read_trial_record, resolve_problem,
                               run_campaign)
 from snailopt.objective import BoundedProblem
-from snailopt.stats import read_table_csv
+from table_io import read_table_csv
 
 
 def small_cfg(out_dir, **kw):
@@ -273,13 +274,52 @@ def test_campaigns_opting_out_of_statistics_are_skipped(tmp_path):
     assert not (tmp_path / "wilcoxon_pairwise.csv").exists()
 
 
+def test_reports_rerun_campaigns_as_no_information(tmp_path):
+    # same problem, same seeds: every paired difference is zero
+    run_campaign(small_cfg(tmp_path / "a", label="first"))
+    run_campaign(small_cfg(tmp_path / "b", label="rerun"))
+    generate_reports(tmp_path)
+    rows = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
+    assert len(rows) == 1
+    row = rows[0]
+    assert {row["a"], row["b"]} == {"first", "rerun"}
+    assert row["winner"] == "no information"
+    assert row["method"] == "none"
+    assert row["p_value"] == 1.0
+    assert row["n_nonzero"] == 0 and row["significant"] is False
+
+
+def damaged_summaries(payload):
+    """summary.json texts that must not survive loading, by case name."""
+    tampered = list(payload["finals"])
+    tampered[0] += 1.0
+    return {
+        "not-json": "{not json",
+        "not-an-object": "[]",
+        "record-file-not-a-name": json.dumps({**payload, "record_files": [5]}),
+        "config-not-an-object": json.dumps({**payload, "config": [1, 2]}),
+        "finals-missing": json.dumps({k: v for k, v in payload.items()
+                                      if k != "finals"}),
+        "finals-tampered": json.dumps({**payload, "finals": tampered}),
+    }
+
+
 def test_unreadable_summary_is_reported_not_fatal(tmp_path):
-    camp = tmp_path / "broken"
-    camp.mkdir()
-    (camp / "summary.json").write_text("{not json")
-    files = generate_reports(tmp_path)
-    assert any(p.name == "report.txt" for p in files)
-    assert "skipped" in (tmp_path / "report.txt").read_text()
+    # each damaged summary sits next to an intact campaign on the same
+    # problem, so one that slipped through would reach the pairing loop
+    template = tmp_path / "template"
+    run_campaign(small_cfg(template, label="intact"))
+    payload = read_summary(template / "summary.json")
+    for case, text in damaged_summaries(payload).items():
+        root = tmp_path / case
+        shutil.copytree(template, root / "intact")
+        shutil.copytree(template, root / "broken")
+        (root / "broken" / "summary.json").write_text(text)
+        files = generate_reports(root)
+        assert any(p.name == "report.txt" for p in files), case
+        report = (root / "report.txt").read_text()
+        assert f"skipped {root / 'broken' / 'summary.json'}" in report, case
+        assert "campaigns found: 1" in report, case
 
 
 def test_missing_trial_file_is_reported_not_fatal(tmp_path):

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.stats import rankdata
 
-from snailopt.stats import (EXACT_LIMIT, FriedmanResult, NoInformation,
-                            WilcoxonResult, _exact_two_sided_p, _midranks,
-                            format_friedman_text, format_pairwise_text,
-                            friedman_ranks, pairwise_table, read_matrix_csv,
-                            read_table_csv, wilcoxon_signed_rank,
-                            write_matrix_csv, write_table_csv)
+from snailopt.stats import (EXACT_LIMIT, NoInformation, WilcoxonResult,
+                            _exact_two_sided_p, _midranks, friedman_ranks,
+                            wilcoxon_signed_rank, write_table_csv)
+from table_io import read_table_csv
 
 
 def brute_force_p(diffs):
@@ -272,58 +270,19 @@ def test_friedman_shape_and_label_validation():
 
 
 # ---------------------------------------------------------------------------
-# pairwise table
+# CSV round-trip
 # ---------------------------------------------------------------------------
-
-def test_pairwise_table_one_row_per_rival():
-    rng = np.random.default_rng(23)
-    base = rng.random(8)
-    values = {
-        "mine": base,
-        "worse": base + 1.0,
-        "better": base - 1.0,
-        "clone": base.copy(),
-    }
-    rows = pairwise_table(values, baseline="mine")
-    assert [r["algorithm"] for r in rows] == ["worse", "better", "clone"]
-    by_name = {r["algorithm"]: r for r in rows}
-    assert by_name["worse"]["winner"] == "mine"
-    assert by_name["better"]["winner"] == "better"
-    assert by_name["clone"]["winner"] == "no information"
-    assert by_name["clone"]["method"] == "none"
-    assert by_name["clone"]["p_value"] == 1.0
-
-
-def test_pairwise_table_validation():
-    values = {"a": np.zeros(6), "b": np.ones(6)}
-    with pytest.raises(ValueError):
-        pairwise_table(values, baseline="missing")
-    values["short"] = np.ones(3)
-    with pytest.raises(ValueError):
-        pairwise_table(values, baseline="a")
-
-
-# ---------------------------------------------------------------------------
-# CSV round-trips and text rendering
-# ---------------------------------------------------------------------------
-
-def test_matrix_csv_round_trip_is_exact(tmp_path):
-    path = tmp_path / "matrix.csv"
-    ids = ["p1", "p2", "p3"]
-    labels = ("alg-a", "alg-b")
-    matrix = np.array([[np.pi, 1e-300], [-1.25e3, 0.1], [7.0, -0.0]])
-    write_matrix_csv(path, ids, labels, matrix)
-    got_ids, got_labels, got = read_matrix_csv(path)
-    assert got_ids == ids
-    assert got_labels == labels
-    assert got.shape == matrix.shape
-    assert np.array_equal(got, matrix)
-
 
 def test_table_csv_round_trip_preserves_types(tmp_path):
     rng = np.random.default_rng(5)
-    values = {"a": rng.random(7), "b": rng.random(7), "c": rng.random(7)}
-    rows = pairwise_table(values, baseline="a")
+    base = rng.random(7)
+    rows = []
+    for label in ("b", "c"):
+        r = wilcoxon_signed_rank(rng.random(7), base, labels=(label, "a"))
+        rows.append({"a": label, "b": "a", "n_nonzero": r.n_nonzero,
+                     "p_value": r.p_value, "t_plus": r.t_plus,
+                     "winner": r.winner, "significant": r.significant,
+                     "method": r.method})
     path = tmp_path / "table.csv"
     write_table_csv(path, rows)
     assert read_table_csv(path) == rows
@@ -334,13 +293,3 @@ def test_empty_table_writes_an_empty_file(tmp_path):
     write_table_csv(path, [])
     assert path.read_text() == ""
     assert read_table_csv(path) == []
-
-
-def test_text_renderings_smoke():
-    values = {"a": np.arange(5.0), "b": np.arange(5.0) + 2.0}
-    text = format_pairwise_text(pairwise_table(values, baseline="a"), "a")
-    assert "vs a" in text and "b" in text
-    fr = friedman_ranks([[1.0, 2.0], [1.0, 2.0]], labels=("first", "second"))
-    rendered = format_friedman_text(fr)
-    assert isinstance(fr, FriedmanResult)
-    assert rendered.index("first") < rendered.index("second")

@@ -1,16 +1,15 @@
 """Exchanger model tests: physics chain, costs, and the published tables."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
 from snailopt.sthe import (INFEASIBLE_COST, CostReport, DomainError,
-                           case_json, closeness_direction, closeness_percent,
-                           design_report, evaluate_design, make_case,
-                           make_problem, published_tables, total_cost)
+                           closeness_direction, closeness_percent,
+                           evaluate_design, make_case, make_problem,
+                           published_tables, total_cost)
 
 
 def case_with_profile(case_id, profile):
@@ -288,25 +287,3 @@ def test_closeness_direction_flags():
     assert closeness_direction(0.46) == "↑"
     assert closeness_direction(-0.1) == "↓"
     assert closeness_direction(0.0) == "↑"
-
-
-# ---------------------------------------------------------------------------
-# reporting
-# ---------------------------------------------------------------------------
-
-def test_design_report_lists_every_parameter():
-    case = make_case(1)
-    design, cost = evaluate_design(case, [0.02, 0.8, 0.3, 4.0])
-    text = design_report(design, cost, header="candidate")
-    lines = text.splitlines()
-    assert lines[0].endswith("candidate")
-    for needle in ("D_s (m)", "Re_t", "U (W/m^2 K)", "C_total (eur)"):
-        assert any(line.startswith(needle) for line in lines), needle
-
-
-def test_case_json_round_trips():
-    payload = json.loads(case_json(make_case(2)))
-    assert payload["case_id"] == 2
-    assert payload["bounds"]["d_o"] == [0.010, 0.051]
-    assert payload["passes"] == make_case(2).passes
-    assert "lmtd" in payload
