@@ -96,10 +96,10 @@ class CampaignConfig:
     engine : dict
         ``ShmsConfig`` overrides, keys restricted to
         :data:`ENGINE_KEYS`.
-    export_trace, export_scatter, export_summary, export_stats : bool
+    export_trace, export_scatter, export_stats : bool
         Artifact switches: per-trial trace CSVs, per-trial scatter
-        CSVs, the summary JSON, and whether report generation may use
-        this campaign in statistics tables.
+        CSVs, and whether report generation may use this campaign in
+        statistics tables.  ``summary.json`` is always written.
     """
 
     problem: str = "F1"
@@ -112,7 +112,6 @@ class CampaignConfig:
     engine: dict = field(default_factory=dict)
     export_trace: bool = True
     export_scatter: bool = False
-    export_summary: bool = True
     export_stats: bool = True
 
     def __post_init__(self):
@@ -150,6 +149,11 @@ class CampaignConfig:
     def from_dict(cls, d: dict) -> "CampaignConfig":
         d = dict(d)
         d.pop("schema", None)
+        # retired switch: older summaries embed it as true; false meant a
+        # campaign without summary.json, which nothing can load
+        if d.pop("export_summary", True) is not True:
+            raise ValueError("config key 'export_summary' is retired and "
+                             "only accepts true: summary.json is always written")
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
@@ -357,8 +361,7 @@ def read_summary(path) -> dict:
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     """Run all trials of a campaign and persist the artifacts.
 
-    Returns the summary (also written to ``summary.json`` unless
-    ``export_summary`` is off).  A trial that raises
+    Returns the summary (also written to ``summary.json``).  A trial that raises
     :class:`NonFiniteObjective` is logged and skipped; any other
     exception propagates (it is a bug, not a data issue).
     """
@@ -394,8 +397,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
             write_scatter_csv(out, i, recorder, problem.dim)
 
     summary = summarize(cfg, finals, evals, walls)
-    if cfg.export_summary:
-        write_summary(out, cfg, summary, finals, record_files, failures)
+    write_summary(out, cfg, summary, finals, record_files, failures)
     return summary
 
 

@@ -17,10 +17,14 @@ equivalent diameter/velocity/film coefficient and pressure drop, the
 fouled overall coefficient, and finally the required area from the duty
 and the corrected log-mean temperature difference.
 
-The economics price that chain: capital cost is a power law of the
-required area, pumping power is converted to an annual energy bill and
-discounted over the plant horizon.  The optimization objective is the
-sum ``C_total = C_inv + C_total_disc``.
+The economics price that chain with the constants of Caputo et al.
+(2008), shared by all three cases: capital cost is the power law
+``C_inv = BASE_COST + AREA_COEFF * S**AREA_EXP`` of the required area S,
+pumping power is billed at ``ENERGY_PRICE`` euro/kWh over
+``HOURS_PER_YEAR`` hours a year, and that bill is discounted by
+``ANNUITY`` (10 % over 10 years).  The optimization objective is the
+sum ``C_total = C_inv + C_total_disc``.  The decision box ``LOWER`` ..
+``UPPER`` is also shared by the three cases.
 
 Notes on conventions (kept because the published reference designs are
 only reproducible with them):
@@ -41,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -72,6 +77,19 @@ INFEASIBLE_COST = 1.0e12
 PITCH_RATIO = 1.25
 CLEARANCE_RATIO = 0.25
 BORE_RATIO = 0.8
+
+# Cost model constants (see the module docstring).
+BASE_COST = 8000.0  # euro
+AREA_COEFF = 259.2
+AREA_EXP = 0.91
+ENERGY_PRICE = 0.12  # euro / kWh
+HOURS_PER_YEAR = 7000.0
+# Present-value factor of one euro/year over 10 years at 10 %.
+ANNUITY = sum((1.0 + 0.10) ** -k for k in range(1, 11))
+
+# Decision box (d_o, D_s, b, L) in metres.
+LOWER = (0.010, 0.10, 0.05, 0.50)
+UPPER = (0.051, 1.50, 0.60, 6.00)
 
 # Tube-count correlation N_t = K1 * (D_s/d_o)^n1, keyed by
 # (pitch layout, number of tube passes).
@@ -115,44 +133,30 @@ class StreamState:
     fouling: float  # m^2 K / W
     wall_viscosity: float | None = None
 
+    @cached_property
     def wall_correction(self) -> float:
         if self.wall_viscosity is None:
             return 1.0
         return (self.viscosity / self.wall_viscosity) ** 0.14
 
-    @property
+    @cached_property
     def prandtl(self) -> float:
         return self.viscosity * self.heat_capacity / self.conductivity
 
 
 @dataclass(frozen=True)
 class EconomicModel:
-    """Capital + discounted-operating cost model.
+    """Pump convention of the capital + discounted-operating cost model.
 
-    ``C_inv = base_cost + area_coeff * S**area_exp`` (S in m^2, cost in
-    euro); pumping power is billed at ``energy_price`` euro/kWh over
-    ``hours_per_year`` hours and discounted at ``discount_rate`` over
-    ``horizon_years`` years.  ``pump_efficiency`` divides the tube-side
-    hydraulic power; ``efficiency_on_shell`` extends the division to the
-    shell-side term (used only by some of the published reference
-    studies).
+    The prices are the module constants ``BASE_COST``, ``AREA_COEFF``,
+    ``AREA_EXP``, ``ENERGY_PRICE``, ``HOURS_PER_YEAR`` and ``ANNUITY``.
+    ``pump_efficiency`` divides the tube-side hydraulic power;
+    ``efficiency_on_shell`` extends the division to the shell-side term
+    (used only by some of the published reference studies).
     """
 
-    base_cost: float = 8000.0
-    area_coeff: float = 259.2
-    area_exp: float = 0.91
-    energy_price: float = 0.12  # euro / kWh
-    hours_per_year: float = 7000.0
-    discount_rate: float = 0.10
-    horizon_years: int = 10
     pump_efficiency: float = 0.8
     efficiency_on_shell: bool = False
-
-    @property
-    def annuity(self) -> float:
-        """Present-value factor of one euro/year over the horizon."""
-        r = self.discount_rate
-        return sum((1.0 + r) ** -k for k in range(1, self.horizon_years + 1))
 
 
 @dataclass(frozen=True)
@@ -173,11 +177,6 @@ class StheCase:
     # construction and the geometric form reproduces their tables).
     area_convention: str = "duty"
     economics: EconomicModel = field(default_factory=EconomicModel)
-    # decision bounds: (low, high) per variable, metres
-    d_o_bounds: tuple[float, float] = (0.010, 0.051)
-    shell_bounds: tuple[float, float] = (0.10, 1.50)
-    baffle_bounds: tuple[float, float] = (0.05, 0.60)
-    length_bounds: tuple[float, float] = (0.50, 6.00)
 
     def __post_init__(self):
         if self.shell.t_in <= self.shell.t_out:
@@ -189,7 +188,7 @@ class StheCase:
         if self.area_convention not in ("duty", "geometry"):
             raise ValueError(f"unknown area convention {self.area_convention!r}")
 
-    @property
+    @cached_property
     def lmtd(self) -> float:
         """Counter-flow log-mean temperature difference."""
         dt1 = self.shell.t_in - self.tube.t_out
@@ -200,7 +199,7 @@ class StheCase:
             return dt1
         return (dt1 - dt2) / math.log(dt1 / dt2)
 
-    @property
+    @cached_property
     def correction_factor(self) -> float:
         """LMTD correction F for one shell pass and 2+ tube passes."""
         hot, cold = self.shell, self.tube
@@ -216,27 +215,14 @@ class StheCase:
         )
         return num / den
 
+    # fresh arrays: BoundedProblem keeps the ones it is given
     @property
     def lower(self) -> np.ndarray:
-        return np.array(
-            [
-                self.d_o_bounds[0],
-                self.shell_bounds[0],
-                self.baffle_bounds[0],
-                self.length_bounds[0],
-            ]
-        )
+        return np.array(LOWER)
 
     @property
     def upper(self) -> np.ndarray:
-        return np.array(
-            [
-                self.d_o_bounds[1],
-                self.shell_bounds[1],
-                self.baffle_bounds[1],
-                self.length_bounds[1],
-            ]
-        )
+        return np.array(UPPER)
 
 
 @dataclass(frozen=True)
@@ -410,7 +396,7 @@ def _tube_nusselt(case: StheCase, re_t: float, pr_t: float, f_t: float,
         den = 1.0 + 12.7 * math.sqrt(fac) * (pr_t ** (2.0 / 3.0) - 1.0)
         return num / den * (1.0 + (d_i / length) ** 0.67)
     return (
-        0.027 * re_t ** 0.8 * pr_t ** (1.0 / 3.0) * case.tube.wall_correction()
+        0.027 * re_t ** 0.8 * pr_t ** (1.0 / 3.0) * case.tube.wall_correction
     )
 
 
@@ -435,12 +421,10 @@ def evaluate_design(case: StheCase, d) -> tuple[StheDesign, CostReport]:
         raise DomainError(f"decision vector must have shape (4,); got {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise DomainError("decision vector contains non-finite entries")
-    d_o, shell_d, baffle, length = (float(v) for v in vec)
-    lo, hi = case.lower, case.upper
-    if np.any(vec < lo) or np.any(vec > hi):
-        raise DomainError(
-            f"decision vector {vec.tolist()} outside case-{case.case_id} bounds"
-        )
+    x = vec.tolist()
+    if not all(lo <= v <= hi for lo, v, hi in zip(LOWER, x, UPPER)):
+        raise DomainError(f"decision vector {x} outside case-{case.case_id} bounds")
+    d_o, shell_d, baffle, length = x
 
     d_i = BORE_RATIO * d_o
     pitch = PITCH_RATIO * d_o
@@ -481,7 +465,7 @@ def evaluate_design(case: StheCase, d) -> tuple[StheDesign, CostReport]:
         * (shell.conductivity / d_e)
         * re_s ** 0.55
         * pr_s ** (1.0 / 3.0)
-        * shell.wall_correction()
+        * shell.wall_correction
     )
     f_s = 1.44 * re_s ** -0.15
     dp_s = (
@@ -506,15 +490,15 @@ def evaluate_design(case: StheCase, d) -> tuple[StheDesign, CostReport]:
         raise DomainError("required area out of domain")
 
     eco = case.economics
-    investment = eco.base_cost + eco.area_coeff * area ** eco.area_exp
+    investment = BASE_COST + AREA_COEFF * area ** AREA_EXP
     p_tube = tube.mass_flow * dp_t / tube.density
     p_shell = shell.mass_flow * dp_s / shell.density
     if eco.efficiency_on_shell:
         power = (p_tube + p_shell) / eco.pump_efficiency
     else:
         power = p_tube / eco.pump_efficiency + p_shell
-    annual = eco.energy_price * eco.hours_per_year * power / 1000.0
-    discounted = annual * eco.annuity
+    annual = ENERGY_PRICE * HOURS_PER_YEAR * power / 1000.0
+    discounted = annual * ANNUITY
     total = investment + discounted
     if not math.isfinite(total):
         raise DomainError("cost diverged")

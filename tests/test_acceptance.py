@@ -28,8 +28,8 @@ from snailopt.objective import EvalCounter, evaluate
 from snailopt.shms import (ShmsConfig, init_colony, run,
                            selection_probabilities, step)
 from snailopt.stats import friedman_ranks, wilcoxon_signed_rank
-from snailopt.sthe import (closeness_percent, make_case, published_tables,
-                           total_cost)
+from snailopt.sthe import closeness_percent, published_tables, total_cost
+from sthe_profile import case_with_profile
 
 #: functions whose minimum sits at the origin with value exactly zero
 ORIGIN_ZERO = {"F1", "F2", "F3", "F4", "F7", "F9", "F10", "F11"}
@@ -53,21 +53,6 @@ def _published_means() -> dict:
     from importlib import resources
     ref = resources.files("snailopt.data").joinpath("published_means.json")
     return json.loads(ref.read_text())
-
-
-def _case_with_profile(case_id, profile):
-    case = make_case(case_id)
-    tube = dataclasses.replace(case.tube, fouling=profile["tube_fouling"])
-    econ = dataclasses.replace(
-        case.economics,
-        pump_efficiency=profile["pump_efficiency"],
-        efficiency_on_shell=profile["efficiency_on_shell"],
-    )
-    return dataclasses.replace(
-        case, tube=tube, layout=profile["layout"],
-        elbow_loss=profile["elbow_loss"], passes=profile["passes"],
-        area_convention=profile["area_convention"], economics=econ,
-    )
 
 
 def _brute_force_p(diffs) -> float:
@@ -186,7 +171,7 @@ def test_criterion_05_reported_exchanger_columns_reproduce():
     for cid in (1, 2, 3):
         designs = tables["cases"][str(cid)]["designs"]
         mine = next(d for d in designs if d["name"] == "SHMS")
-        case = _case_with_profile(cid, mine["profile"])
+        case = case_with_profile(cid, mine["profile"])
         got = total_cost(case, mine["decision"])
         rel = abs(got - mine["c_total"]) / mine["c_total"]
         ok = ok and rel <= 0.005

@@ -31,6 +31,8 @@ TRIAL_PINS = {
     ("F9", 30, 1, None): "fa206fd7c2fa749da8bd67204d9a3884e837c0d445fe52800a2c3966f6eef002",
     ("F1", 500, 1, 20_000): "d17b502ac473857c1664de4d0e6279122e5e6eda7ae2ed13b2348b84b7f225d0",
     ("sthe1", None, 1, None): "41df0482c6de7515db2a9fb5c8b1a508f2e56b3c682c31a6fa24dba07d3ef850",
+    ("sthe2", None, 1, None): "35bfbf41aafd320a8f2f6e9839ee13e6641021ee9caf4dbfa2dc2f7328d2a246",
+    ("sthe3", None, 1, None): "26f723d9a4a0f5ccef13b286c94052651a9c28b275aca2fffdabd269685f6390",
     ("F16", None, 7, None): "fede01d0ff026c58314a19ef6b382d9e443ee09b50c3a0d091d65d2002dcff75",
 }
 

@@ -68,6 +68,15 @@ def test_config_dict_round_trip():
         CampaignConfig.from_dict({"problem": "F1", "surprise": 1})
 
 
+def test_config_drops_the_retired_export_summary_switch():
+    # summaries written before the switch was retired embed it as true
+    d = small_cfg("somewhere").to_dict()
+    assert CampaignConfig.from_dict({**d, "export_summary": True}) == \
+        CampaignConfig.from_dict(d)
+    with pytest.raises(ValueError, match="export_summary"):
+        CampaignConfig.from_dict({**d, "export_summary": False})
+
+
 def test_resolve_problem_checks_dimensions():
     assert resolve_problem(CampaignConfig(problem="sthe1")).dim == 4
     assert resolve_problem(CampaignConfig(problem="sthe1", dim=4)).dim == 4

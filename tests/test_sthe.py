@@ -10,22 +10,7 @@ from snailopt.sthe import (INFEASIBLE_COST, CostReport, DomainError,
                            closeness_direction, closeness_percent,
                            evaluate_design, make_case, make_problem,
                            published_tables, total_cost)
-
-
-def case_with_profile(case_id, profile):
-    """Rebuild the exact model variant a stored column was fitted with."""
-    case = make_case(case_id)
-    tube = dataclasses.replace(case.tube, fouling=profile["tube_fouling"])
-    econ = dataclasses.replace(
-        case.economics,
-        pump_efficiency=profile["pump_efficiency"],
-        efficiency_on_shell=profile["efficiency_on_shell"],
-    )
-    return dataclasses.replace(
-        case, tube=tube, layout=profile["layout"],
-        elbow_loss=profile["elbow_loss"], passes=profile["passes"],
-        area_convention=profile["area_convention"], economics=econ,
-    )
+from sthe_profile import case_with_profile
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +38,17 @@ def test_case_temperature_constants(case_id, lmtd, f_corr):
     # printed constants carry rounded intermediates; 1e-3 absolute
     assert case.lmtd == pytest.approx(lmtd, abs=1e-3)
     assert case.correction_factor == pytest.approx(f_corr, abs=1e-3)
+
+
+def test_cached_case_constants_follow_replace():
+    case = make_case(1)
+    before = case.lmtd
+    warmer = dataclasses.replace(
+        case, shell=dataclasses.replace(case.shell, t_out=50.0))
+    # 95 -> 50 degC against 25 -> 40 degC: end differences 55 and 25
+    assert warmer.lmtd == pytest.approx(30.0 / math.log(55.0 / 25.0), rel=1e-12)
+    assert warmer.lmtd != before
+    assert case.lmtd == before
 
 
 def test_case_bounds_are_the_documented_box():
