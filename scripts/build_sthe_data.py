@@ -262,32 +262,6 @@ OUTLIER_NOTES = {
 }
 
 
-def profile_case(case, *, tube_fouling=None, layout=None, elbow_loss=None,
-                 passes=None, pump_efficiency=None, efficiency_on_shell=None,
-                 area_convention=None):
-    """Return a copy of ``case`` with selected study conventions swapped."""
-    kwargs = {}
-    if tube_fouling is not None and tube_fouling != case.tube.fouling:
-        kwargs["tube"] = replace(case.tube, fouling=tube_fouling)
-    if layout is not None:
-        kwargs["layout"] = layout
-    if elbow_loss is not None:
-        kwargs["elbow_loss"] = elbow_loss
-    if passes is not None:
-        kwargs["passes"] = passes
-    if area_convention is not None:
-        kwargs["area_convention"] = area_convention
-    eco = case.economics
-    eco_kwargs = {}
-    if pump_efficiency is not None:
-        eco_kwargs["pump_efficiency"] = pump_efficiency
-    if efficiency_on_shell is not None:
-        eco_kwargs["efficiency_on_shell"] = efficiency_on_shell
-    if eco_kwargs:
-        kwargs["economics"] = replace(eco, **eco_kwargs)
-    return replace(case, **kwargs) if kwargs else case
-
-
 # Pump conventions seen across the studies: tube-side-only efficiency,
 # efficiency on the full sum, a poorer pump, and no efficiency at all.
 PUMP_OPTIONS = ((0.8, False), (0.8, True), (0.7, True), (1.0, True))
@@ -302,22 +276,23 @@ def fit_column(case, decision, printed_total, printed_passes):
     passes_options = [printed_passes] if printed_passes else [1, 2, 4]
     best = None
     for fouling in foulings:
+        tube = replace(case.tube, fouling=fouling)
         for layout in ("triangular", "square"):
             for elbow in (4.0, 2.5):
                 for passes in passes_options:
                     for eff, on_shell in PUMP_OPTIONS:
                         for area in ("duty", "geometry"):
-                            trial = profile_case(
-                                case, tube_fouling=fouling, layout=layout,
+                            trial = replace(
+                                case, tube=tube, layout=layout,
                                 elbow_loss=elbow, passes=passes,
                                 pump_efficiency=eff, efficiency_on_shell=on_shell,
                                 area_convention=area,
                             )
                             try:
-                                _, cost = evaluate_design(trial, decision)
+                                total = evaluate_design(trial, decision).total
                             except Exception:
                                 continue
-                            err = abs(cost.total - printed_total) / printed_total
+                            err = abs(total - printed_total) / printed_total
                             key = (err,)
                             if best is None or key < best[0]:
                                 best = (key, {
@@ -328,7 +303,7 @@ def fit_column(case, decision, printed_total, printed_passes):
                                     "pump_efficiency": eff,
                                     "efficiency_on_shell": on_shell,
                                     "area_convention": area,
-                                    "model_c_total": cost.total,
+                                    "model_c_total": total,
                                     "rel_error": err,
                                 })
     return best[1] if best else None
@@ -372,17 +347,17 @@ def build():
                 entry["exclude_reason"] = reason
             elif name in ("SHMS", "ARGA"):
                 # the chain's own conventions; no fitting
-                _, cost = evaluate_design(case, decision)
+                total = evaluate_design(case, decision).total
                 entry["profile"] = {
                     "tube_fouling": case.tube.fouling,
                     "layout": case.layout,
                     "elbow_loss": case.elbow_loss,
                     "passes": case.passes,
-                    "pump_efficiency": case.economics.pump_efficiency,
-                    "efficiency_on_shell": case.economics.efficiency_on_shell,
+                    "pump_efficiency": case.pump_efficiency,
+                    "efficiency_on_shell": case.efficiency_on_shell,
                     "area_convention": case.area_convention,
-                    "model_c_total": cost.total,
-                    "rel_error": abs(cost.total - entry["c_total"]) / entry["c_total"],
+                    "model_c_total": total,
+                    "rel_error": abs(total - entry["c_total"]) / entry["c_total"],
                     "fitted": False,
                 }
             else:

@@ -25,9 +25,8 @@ from .benchmarks import CATALOG, CANONICAL_DIMS, known_optimum, make_benchmark
 from .shms import RunRecord, ShmsConfig, run
 from .stats import (FriedmanResult, NoInformation, WilcoxonResult,
                     friedman_ranks, wilcoxon_signed_rank)
-from .sthe import (CostReport, DomainError, StheCase, StheDesign,
-                   closeness_percent, evaluate_design, make_case,
-                   make_problem, total_cost)
+from .sthe import (DomainError, StheCase, StheDesign, closeness_percent,
+                   evaluate_design, make_case, make_problem, total_cost)
 from .harness import (CampaignConfig, CampaignSummary, generate_reports,
                       run_campaign)
 
@@ -39,7 +38,6 @@ __all__ = [
     "CATALOG",
     "CampaignConfig",
     "CampaignSummary",
-    "CostReport",
     "DomainError",
     "EvalCounter",
     "FriedmanResult",

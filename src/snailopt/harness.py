@@ -68,6 +68,13 @@ ENGINE_KEYS = (
     "stagnation_tol",
 )
 
+#: Retired config switches.  Older summaries embed them as true, which
+#: is dropped; false asked for what no longer exists, so it is refused.
+RETIRED_SWITCHES = {
+    "export_summary": "summary.json is always written",
+    "export_stats": "every loadable campaign enters the statistics tables",
+}
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -96,10 +103,10 @@ class CampaignConfig:
     engine : dict
         ``ShmsConfig`` overrides, keys restricted to
         :data:`ENGINE_KEYS`.
-    export_trace, export_scatter, export_stats : bool
-        Artifact switches: per-trial trace CSVs, per-trial scatter
-        CSVs, and whether report generation may use this campaign in
-        statistics tables.  ``summary.json`` is always written.
+    export_trace, export_scatter : bool
+        Artifact switches: per-trial trace CSVs and per-trial scatter
+        CSVs.  ``summary.json`` is always written, and report generation
+        uses every campaign it can load.
     """
 
     problem: str = "F1"
@@ -112,7 +119,6 @@ class CampaignConfig:
     engine: dict = field(default_factory=dict)
     export_trace: bool = True
     export_scatter: bool = False
-    export_stats: bool = True
 
     def __post_init__(self):
         if self.trials < 1:
@@ -149,11 +155,10 @@ class CampaignConfig:
     def from_dict(cls, d: dict) -> "CampaignConfig":
         d = dict(d)
         d.pop("schema", None)
-        # retired switch: older summaries embed it as true; false meant a
-        # campaign without summary.json, which nothing can load
-        if d.pop("export_summary", True) is not True:
-            raise ValueError("config key 'export_summary' is retired and "
-                             "only accepts true: summary.json is always written")
+        for key, why in RETIRED_SWITCHES.items():
+            if d.pop(key, True) is not True:
+                raise ValueError(f"config key {key!r} is retired and only "
+                                 f"accepts true: {why}")
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
@@ -486,9 +491,6 @@ def generate_reports(results_dir) -> list[Path]:
             _check_finals(path, payload)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             notices.append(f"skipped {path}: {exc}")
-            continue
-        if not cfg.export_stats:
-            notices.append(f"{cfg.display_label}: excluded from statistics by config")
             continue
         campaigns.append((cfg, summary, payload))
 

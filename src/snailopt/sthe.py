@@ -26,13 +26,18 @@ pumping power is billed at ``ENERGY_PRICE`` euro/kWh over
 sum ``C_total = C_inv + C_total_disc``.  The decision box ``LOWER`` ..
 ``UPPER`` is also shared by the three cases.
 
+:func:`evaluate_design` returns one immutable record,
+:class:`StheDesign`, holding the derived chain and its five cost
+fields; :func:`total_cost` reads its ``total``.
+
 Notes on conventions (kept because the published reference designs are
 only reproducible with them):
 
 * the pass-count and the pitch layout are fixed per case, not
   optimized;
 * pump efficiency divides the tube-side hydraulic power only; the
-  shell-side term enters at face value;
+  shell-side term enters at face value (``efficiency_on_shell=True``
+  divides both, as some of the reference studies do);
 * the required area is by default taken directly from duty/(U·F·LMTD)
   — the tube length is an independent decision variable and the
   geometric area ``pi*d_o*L*N_t`` is NOT forced to match; the older
@@ -44,18 +49,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
 from .objective import BoundedProblem
 
 __all__ = [
-    "CostReport",
     "DomainError",
-    "EconomicModel",
     "StheCase",
     "StheDesign",
     "StreamState",
@@ -145,21 +149,6 @@ class StreamState:
 
 
 @dataclass(frozen=True)
-class EconomicModel:
-    """Pump convention of the capital + discounted-operating cost model.
-
-    The prices are the module constants ``BASE_COST``, ``AREA_COEFF``,
-    ``AREA_EXP``, ``ENERGY_PRICE``, ``HOURS_PER_YEAR`` and ``ANNUITY``.
-    ``pump_efficiency`` divides the tube-side hydraulic power;
-    ``efficiency_on_shell`` extends the division to the shell-side term
-    (used only by some of the published reference studies).
-    """
-
-    pump_efficiency: float = 0.8
-    efficiency_on_shell: bool = False
-
-
-@dataclass(frozen=True)
 class StheCase:
     """Complete parameter set of one exchanger sizing case."""
 
@@ -176,7 +165,10 @@ class StheCase:
     # from the required area, so for them the two coincide by
     # construction and the geometric form reproduces their tables).
     area_convention: str = "duty"
-    economics: EconomicModel = field(default_factory=EconomicModel)
+    # pump efficiency divides the tube-side hydraulic power, and the
+    # shell-side term too when efficiency_on_shell is set
+    pump_efficiency: float = 0.8
+    efficiency_on_shell: bool = False
 
     def __post_init__(self):
         if self.shell.t_in <= self.shell.t_out:
@@ -215,19 +207,9 @@ class StheCase:
         )
         return num / den
 
-    # fresh arrays: BoundedProblem keeps the ones it is given
-    @property
-    def lower(self) -> np.ndarray:
-        return np.array(LOWER)
 
-    @property
-    def upper(self) -> np.ndarray:
-        return np.array(UPPER)
-
-
-@dataclass(frozen=True)
-class StheDesign:
-    """Fully derived geometry/thermo-hydraulics of one candidate design."""
+class StheDesign(NamedTuple):
+    """Derived geometry/thermo-hydraulics and costs (euro) of one design."""
 
     d_o: float
     d_i: float
@@ -256,23 +238,11 @@ class StheDesign:
     lmtd: float
     correction_factor: float
     area: float
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Cost decomposition of one design (all in euro)."""
-
     investment: float
     annual_operating: float  # euro / year
     discounted_operating: float
     total: float
     pumping_power: float  # W
-
-    def __post_init__(self):
-        gap = abs(self.total - (self.investment + self.discounted_operating))
-        if not gap <= 1e-6 * max(1.0, abs(self.total)):
-            raise ValueError(f"cost identity violated: total {self.total!r} is "
-                             f"not investment + discounted operating")
 
 
 def make_case(case_id: int) -> StheCase:
@@ -400,8 +370,8 @@ def _tube_nusselt(case: StheCase, re_t: float, pr_t: float, f_t: float,
     )
 
 
-def evaluate_design(case: StheCase, d) -> tuple[StheDesign, CostReport]:
-    """Derive the full chain and cost report for decision vector ``d``.
+def evaluate_design(case: StheCase, d) -> StheDesign:
+    """Derive the full chain and its costs for decision vector ``d``.
 
     Parameters
     ----------
@@ -419,9 +389,8 @@ def evaluate_design(case: StheCase, d) -> tuple[StheDesign, CostReport]:
     vec = np.asarray(d, dtype=float)
     if vec.shape != (4,):
         raise DomainError(f"decision vector must have shape (4,); got {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError("decision vector contains non-finite entries")
     x = vec.tolist()
+    # also rejects NaN and +-inf
     if not all(lo <= v <= hi for lo, v, hi in zip(LOWER, x, UPPER)):
         raise DomainError(f"decision vector {x} outside case-{case.case_id} bounds")
     d_o, shell_d, baffle, length = x
@@ -489,57 +458,27 @@ def evaluate_design(case: StheCase, d) -> tuple[StheDesign, CostReport]:
     if not (area > 0.0 and math.isfinite(area)):
         raise DomainError("required area out of domain")
 
-    eco = case.economics
     investment = BASE_COST + AREA_COEFF * area ** AREA_EXP
     p_tube = tube.mass_flow * dp_t / tube.density
     p_shell = shell.mass_flow * dp_s / shell.density
-    if eco.efficiency_on_shell:
-        power = (p_tube + p_shell) / eco.pump_efficiency
+    if case.efficiency_on_shell:
+        power = (p_tube + p_shell) / case.pump_efficiency
     else:
-        power = p_tube / eco.pump_efficiency + p_shell
+        power = p_tube / case.pump_efficiency + p_shell
     annual = ENERGY_PRICE * HOURS_PER_YEAR * power / 1000.0
     discounted = annual * ANNUITY
     total = investment + discounted
     if not math.isfinite(total):
         raise DomainError("cost diverged")
 
-    design = StheDesign(
-        d_o=d_o,
-        d_i=d_i,
-        shell_diameter=shell_d,
-        baffle_spacing=baffle,
-        length=length,
-        pitch=pitch,
-        clearance=clearance,
-        passes=case.passes,
-        tube_count=tube_count,
-        v_tube=v_t,
-        re_tube=re_t,
-        pr_tube=pr_t,
-        h_tube=h_t,
-        f_tube=f_t,
-        dp_tube=dp_t,
-        cross_area=cross_area,
-        d_equiv=d_e,
-        v_shell=v_s,
-        re_shell=re_s,
-        pr_shell=pr_s,
-        h_shell=h_s,
-        f_shell=f_s,
-        dp_shell=dp_s,
-        u_overall=u,
-        lmtd=lmtd,
-        correction_factor=f_corr,
-        area=area,
+    # positional, in field order: keywords cost ~1 us per call
+    return StheDesign(
+        d_o, d_i, shell_d, baffle, length, pitch, clearance, case.passes,
+        tube_count, v_t, re_t, pr_t, h_t, f_t, dp_t,
+        cross_area, d_e, v_s, re_s, pr_s, h_s, f_s, dp_s,
+        u, lmtd, f_corr, area,
+        investment, annual, discounted, total, power,
     )
-    report = CostReport(
-        investment=investment,
-        annual_operating=annual,
-        discounted_operating=discounted,
-        total=total,
-        pumping_power=power,
-    )
-    return design, report
 
 
 def total_cost(case: StheCase, d) -> float:
@@ -550,10 +489,9 @@ def total_cost(case: StheCase, d) -> float:
     treats the region as very bad.
     """
     try:
-        _, report = evaluate_design(case, d)
+        return evaluate_design(case, d).total
     except DomainError:
         return INFEASIBLE_COST
-    return report.total
 
 
 def make_problem(case_id: int) -> BoundedProblem:
@@ -562,8 +500,8 @@ def make_problem(case_id: int) -> BoundedProblem:
     return BoundedProblem(
         name=f"sthe{case_id}",
         dim=4,
-        lower=case.lower,
-        upper=case.upper,
+        lower=LOWER,
+        upper=UPPER,
         func=lambda x, _case=case: total_cost(_case, x),
     )
 

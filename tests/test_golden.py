@@ -1,7 +1,8 @@
 """Golden trajectories: bitwise pins on a few seeded runs.
 
 Each pin is the SHA-256 of a run's ``best_trace``, ``final_x`` and
-``evals``, or of the bytes of a scatter CSV.  A refactor that claims to
+``evals``, of the bytes of a scatter CSV, or of the exchanger objective
+over a seeded set of designs.  A refactor that claims to
 keep behaviour must keep every pin; a change that alters trajectories
 on purpose must update them and say why in CHANGES.md.  The pins hold
 for one interpreter/numpy/CPU combination: the objectives' ufuncs may
@@ -9,6 +10,7 @@ round differently elsewhere.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ import pytest
 from snailopt.harness import (CampaignConfig, default_budget, resolve_problem,
                               run_campaign)
 from snailopt.shms import ShmsConfig, run
+from snailopt.sthe import LOWER, UPPER, make_case, published_tables, total_cost
+from sthe_profile import case_with_profile
 
 
 def trajectory_digest(rec) -> str:
@@ -57,3 +61,35 @@ def test_scatter_csv_is_pinned(tmp_path):
     run_campaign(cfg)
     data = (tmp_path / "scatter_000.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == SCATTER_PIN
+
+
+# sthe1-3 plus the case-1 "Original Study" profile: geometry area,
+# square pitch, pump efficiency 0.7 applied to the shell side too
+STHE_COST_PIN = "1d02401b1c9707e4c6eaae3e8b009149ae3e1f0485d13e833a9026ddd1aae45e"
+
+
+def sthe_pin_designs() -> np.ndarray:
+    """In-box draws, draws from a box 50 % wider on every side (mostly
+    out of bounds), the 16 box corners and four non-finite vectors."""
+    rng = np.random.default_rng(2026)
+    lo, hi = np.array(LOWER), np.array(UPPER)
+    inside = lo + rng.random((500, 4)) * (hi - lo)
+    wide = lo - 0.5 * (hi - lo) + rng.random((500, 4)) * 2.0 * (hi - lo)
+    corners = np.array(list(itertools.product(*zip(LOWER, UPPER))))
+    bad = np.tile(inside[:1], (4, 1))
+    bad[:, 3] = [np.nan, np.inf, -np.inf, np.nan]
+    bad[3, 0] = np.inf
+    return np.vstack([inside, wide, corners, bad])
+
+
+def test_sthe_total_cost_is_pinned():
+    original = next(e for e in published_tables()["cases"]["1"]["designs"]
+                    if e["name"] == "Original Study")
+    cases = [make_case(c) for c in (1, 2, 3)]
+    cases.append(case_with_profile(1, original["profile"]))
+    designs = sthe_pin_designs()
+    h = hashlib.sha256()
+    for case in cases:
+        costs = [total_cost(case, d) for d in designs]
+        h.update(np.asarray(costs, dtype="<f8").tobytes())
+    assert h.hexdigest() == STHE_COST_PIN

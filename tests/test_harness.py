@@ -1,5 +1,6 @@
 """Campaign harness tests: persistence, reproducibility, reports, CLI."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -69,12 +70,18 @@ def test_config_dict_round_trip():
 
 
 def test_config_drops_the_retired_export_summary_switch():
-    # summaries written before the switch was retired embed it as true
+    # summaries written before a switch was retired embed it as true
     d = small_cfg("somewhere").to_dict()
-    assert CampaignConfig.from_dict({**d, "export_summary": True}) == \
-        CampaignConfig.from_dict(d)
-    with pytest.raises(ValueError, match="export_summary"):
-        CampaignConfig.from_dict({**d, "export_summary": False})
+    for key in ("export_summary", "export_stats"):
+        assert CampaignConfig.from_dict({**d, key: True}) == \
+            CampaignConfig.from_dict(d)
+        with pytest.raises(ValueError, match=key):
+            CampaignConfig.from_dict({**d, key: False})
+
+
+def test_documented_config_fields_match_the_dataclass():
+    documented = output_schemas()["schemas"]["snailopt.campaign_config/1"]["fields"]
+    assert list(documented) == [f.name for f in dataclasses.fields(CampaignConfig)]
 
 
 def test_resolve_problem_checks_dimensions():
@@ -274,12 +281,16 @@ def test_reports_on_an_empty_directory(tmp_path):
 
 
 def test_campaigns_opting_out_of_statistics_are_skipped(tmp_path):
+    # a summary stored before export_stats was retired, with the switch off
     run_campaign(small_cfg(tmp_path / "a", label="counts"))
-    run_campaign(small_cfg(tmp_path / "b", label="private", base_seed=99,
-                           export_stats=False))
+    run_campaign(small_cfg(tmp_path / "b", label="private", base_seed=99))
+    path = tmp_path / "b" / "summary.json"
+    payload = json.loads(path.read_text())
+    payload["config"]["export_stats"] = False
+    path.write_text(json.dumps(payload))
     generate_reports(tmp_path)
     text = (tmp_path / "report.txt").read_text()
-    assert "private: excluded from statistics by config" in text
+    assert f"skipped {path}: config key 'export_stats' is retired" in text
     assert not (tmp_path / "wilcoxon_pairwise.csv").exists()
 
 

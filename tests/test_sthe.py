@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from snailopt.sthe import (INFEASIBLE_COST, CostReport, DomainError,
+from snailopt.sthe import (INFEASIBLE_COST, LOWER, UPPER, DomainError,
                            closeness_direction, closeness_percent,
                            evaluate_design, make_case, make_problem,
                            published_tables, total_cost)
@@ -52,9 +52,9 @@ def test_cached_case_constants_follow_replace():
 
 
 def test_case_bounds_are_the_documented_box():
-    case = make_case(1)
-    assert np.allclose(case.lower, [0.010, 0.10, 0.05, 0.50])
-    assert np.allclose(case.upper, [0.051, 1.50, 0.60, 6.00])
+    problem = make_problem(1)
+    assert np.allclose(problem.lower, [0.010, 0.10, 0.05, 0.50])
+    assert np.allclose(problem.upper, [0.051, 1.50, 0.60, 6.00])
 
 
 def test_case_rejects_inconsistent_streams():
@@ -74,7 +74,7 @@ def test_case_rejects_inconsistent_streams():
 
 def test_fixed_geometric_ratios():
     case = make_case(1)
-    design, _ = evaluate_design(case, [0.02, 0.8, 0.3, 4.0])
+    design = evaluate_design(case, [0.02, 0.8, 0.3, 4.0])
     assert design.d_i == pytest.approx(0.8 * design.d_o, rel=1e-12)
     assert design.pitch == pytest.approx(1.25 * design.d_o, rel=1e-12)
     assert design.clearance == pytest.approx(0.25 * design.d_o, rel=1e-12)
@@ -83,7 +83,7 @@ def test_fixed_geometric_ratios():
 
 def test_duty_convention_area_closes_the_heat_balance():
     case = make_case(1)
-    design, _ = evaluate_design(case, [0.02, 0.8, 0.3, 4.0])
+    design = evaluate_design(case, [0.02, 0.8, 0.3, 4.0])
     required = case.duty / (design.u_overall * design.correction_factor
                             * design.lmtd)
     assert design.area == pytest.approx(required, rel=1e-12)
@@ -92,14 +92,48 @@ def test_duty_convention_area_closes_the_heat_balance():
 def test_geometry_convention_area_is_the_tube_surface():
     case = dataclasses.replace(make_case(1), area_convention="geometry")
     d = [0.02, 0.8, 0.3, 4.0]
-    design, _ = evaluate_design(case, d)
+    design = evaluate_design(case, d)
     assert design.area == pytest.approx(
         math.pi * design.d_o * design.length * design.tube_count, rel=1e-12)
 
 
+def test_record_fields_hold_the_named_quantities():
+    # the record is built positionally; recompute each field by name
+    case = make_case(1)
+    d = [0.02, 0.8, 0.3, 4.0]
+    r = evaluate_design(case, d)
+    tube, shell = case.tube, case.shell
+    assert [r.d_o, r.shell_diameter, r.baffle_spacing, r.length] == d
+    assert r.tube_count == pytest.approx(0.249 * (0.8 / 0.02) ** 2.207, rel=1e-12)
+    assert r.re_tube == pytest.approx(
+        tube.density * r.v_tube * r.d_i / tube.viscosity, rel=1e-12)
+    assert r.pr_tube == tube.prandtl and r.pr_shell == shell.prandtl
+    assert r.f_tube == pytest.approx(
+        (1.82 * math.log10(r.re_tube) - 1.64) ** -2, rel=1e-12)
+    assert r.dp_tube == pytest.approx(
+        tube.density * r.v_tube ** 2 / 2.0
+        * (r.length / r.d_i * r.f_tube + case.elbow_loss) * r.passes, rel=1e-12)
+    assert r.cross_area == pytest.approx(
+        r.shell_diameter * r.baffle_spacing * r.clearance / r.pitch, rel=1e-12)
+    assert r.v_shell == pytest.approx(
+        shell.mass_flow / (shell.density * r.cross_area), rel=1e-12)
+    assert r.re_shell == pytest.approx(
+        shell.density * r.v_shell * r.d_equiv / shell.viscosity, rel=1e-12)
+    assert r.f_shell == pytest.approx(1.44 * r.re_shell ** -0.15, rel=1e-12)
+    assert r.dp_shell == pytest.approx(
+        shell.density * r.v_shell ** 2 / 2.0 * (r.length / r.baffle_spacing)
+        * (r.shell_diameter / r.d_equiv) * r.f_shell, rel=1e-12)
+    assert 1.0 / r.u_overall == pytest.approx(
+        1.0 / r.h_shell + shell.fouling
+        + (r.d_o / r.d_i) * (tube.fouling + 1.0 / r.h_tube), rel=1e-12)
+    power = (tube.mass_flow * r.dp_tube / tube.density / case.pump_efficiency
+             + shell.mass_flow * r.dp_shell / shell.density)
+    assert r.pumping_power == pytest.approx(power, rel=1e-12)
+
+
 def test_cost_identity_and_discounting():
     case = make_case(2)
-    _, report = evaluate_design(case, [0.015, 0.5, 0.3, 3.0])
+    report = evaluate_design(case, [0.015, 0.5, 0.3, 3.0])
     assert report.total == pytest.approx(
         report.investment + report.discounted_operating, rel=1e-12)
     # 10 years at 10%: annuity factor (1 - 1.1^-10) / 0.1
@@ -108,28 +142,22 @@ def test_cost_identity_and_discounting():
     assert report.pumping_power > 0.0
 
 
-def test_cost_identity_violation_raises_value_error():
-    with pytest.raises(ValueError, match="cost identity"):
-        CostReport(investment=1.0, annual_operating=1.0,
-                   discounted_operating=1.0, total=5.0, pumping_power=1.0)
-
-
 def test_investment_grows_with_exchange_area():
     case = make_case(1)
-    small, rs = evaluate_design(case, [0.02, 0.5, 0.3, 3.0])
-    large, rl = evaluate_design(case, [0.02, 1.2, 0.3, 3.0])
+    small = evaluate_design(case, [0.02, 0.5, 0.3, 3.0])
+    large = evaluate_design(case, [0.02, 1.2, 0.3, 3.0])
     assert small.area != large.area
     if small.area < large.area:
-        assert rs.investment < rl.investment
+        assert small.investment < large.investment
     else:
-        assert rs.investment > rl.investment
+        assert small.investment > large.investment
 
 
 def test_tube_side_regime_switches_with_velocity():
     case = make_case(1)
     # few tubes -> fast flow -> turbulent; huge shell -> many tubes -> laminar
-    fast, _ = evaluate_design(case, [0.051, 0.2, 0.3, 3.0])
-    slow, _ = evaluate_design(case, [0.012, 1.5, 0.3, 3.0])
+    fast = evaluate_design(case, [0.051, 0.2, 0.3, 3.0])
+    slow = evaluate_design(case, [0.012, 1.5, 0.3, 3.0])
     assert fast.re_tube > slow.re_tube
     assert fast.h_tube > slow.h_tube
 
@@ -151,10 +179,13 @@ def test_out_of_bounds_designs_raise(vec):
 
 def test_malformed_vectors_raise():
     case = make_case(1)
-    with pytest.raises(DomainError):
-        evaluate_design(case, [0.02, 0.8, 0.3])
-    with pytest.raises(DomainError):
-        evaluate_design(case, [0.02, 0.8, 0.3, float("nan")])
+    for shape_bad in ([0.02, 0.8, 0.3], np.full((2, 2), 0.3)):
+        with pytest.raises(DomainError, match="shape"):
+            evaluate_design(case, shape_bad)
+    # the bounds test rejects non-finite entries too
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="outside case-1 bounds"):
+            evaluate_design(case, [0.02, 0.8, 0.3, value])
 
 
 def test_total_cost_maps_domain_errors_to_penalty():
@@ -167,7 +198,8 @@ def test_make_problem_wraps_the_case():
     problem = make_problem(3)
     assert problem.dim == 4
     case = make_case(3)
-    assert np.array_equal(problem.lower, case.lower)
+    assert np.array_equal(problem.lower, LOWER)
+    assert np.array_equal(problem.upper, UPPER)
     x = np.array([0.015, 0.6, 0.3, 3.0])
     assert problem.func(x) == total_cost(case, x)
 
@@ -194,7 +226,7 @@ def test_default_cases_reproduce_the_published_designs(case_id, decision,
                                                        published, duty):
     case = make_case(case_id)
     assert case.duty == duty
-    _, cost = evaluate_design(case, decision)
+    cost = evaluate_design(case, decision)
     assert cost.total == pytest.approx(published, rel=5e-3)
     assert total_cost(case, decision) == cost.total
 
