@@ -1,7 +1,9 @@
 """Command-line front end: ``run``, ``report``, and ``catalog``.
 
 ``run`` executes a campaign described by CLI flags, a JSON config file,
-or both (flags win).  ``report`` builds the statistics artifacts from a
+or both (flags win); its trials run in parallel on the CPUs the process
+may use (``taskset`` limits them), with the same artifacts as a serial
+run.  ``report`` builds the statistics artifacts from a
 directory of campaigns.  ``catalog`` lists the solvable problems.
 
 Examples
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -115,9 +118,16 @@ def config_from_args(args: argparse.Namespace) -> CampaignConfig:
     return CampaignConfig.from_dict(values)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
-    summary = run_campaign(cfg)
+    summary = run_campaign(cfg, workers=usable_cpus())
     if summary.completed == 0:
         print(f"{cfg.display_label}: no trial completed", file=sys.stderr)
         return 1

@@ -14,6 +14,23 @@ Seeds are derived as ``base_seed + trial_index``, so a campaign is
 fully reproducible from its config file alone.  Trials whose objective
 evaluation fails are logged and skipped; the campaign carries on.
 
+Trials share nothing, so :func:`run_trial` runs one of them on its own:
+it runs the engine, writes that trial's files and returns only
+``(final_f, evals, wall_time, record name)``, or a failure dict.
+:func:`run_campaign` maps it over the trial indices, serially or on a
+pool of forked workers, collects the results in trial order and writes
+``summary.json`` last.  Forked workers inherit the imported modules and
+the ``(cfg, problem, budget)`` job, so nothing is pickled into the pool
+(a problem may hold a lambda), and the artifacts are byte-identical to
+a serial run apart from the wall-time fields.  The library default is
+serial: callers that wrap ``run`` or the writers in-process (counting
+objective calls, timing layers) would see nothing of what a worker
+does.  The CLI passes the number of CPUs the process may use.
+
+Every file is written to a temporary name in its target directory and
+then renamed over the target, so an interrupted run leaves whole files
+only.
+
 :func:`generate_reports` turns a directory of campaigns into the
 statistics artifacts: a Friedman ranking table computed from the
 bundled published per-problem means, pairwise signed-rank tables where
@@ -26,9 +43,13 @@ documented in ``data/output_schemas.json``.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import functools
+import io
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -38,8 +59,7 @@ import numpy as np
 from .benchmarks import CATALOG, make_benchmark
 from .objective import BoundedProblem, NonFiniteObjective
 from .shms import RunRecord, ShmsConfig, run
-from .stats import (NoInformation, friedman_ranks, wilcoxon_signed_rank,
-                    write_table_csv)
+from .stats import NoInformation, friedman_ranks, wilcoxon_signed_rank
 from .sthe import (closeness_direction, closeness_percent, make_problem,
                    published_tables)
 
@@ -245,6 +265,25 @@ def summarize(cfg: CampaignConfig, finals, evals, walls) -> CampaignSummary:
 # artifact writers / readers
 # ---------------------------------------------------------------------------
 
+def write_atomic(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` through a temporary file and a rename.
+
+    The temporary file sits in the target directory (a rename does not
+    cross file systems) and carries the writer's pid (concurrent
+    writers never share one).  Readers see the old file or the whole
+    new one, and a failed write leaves neither a target nor a temporary
+    file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def write_trial_record(out: Path, cfg: CampaignConfig, i: int,
                        budget: int, rec: RunRecord) -> Path:
     path = out / f"trial_{i:03d}.json"
@@ -260,8 +299,7 @@ def write_trial_record(out: Path, cfg: CampaignConfig, i: int,
         "wall_time": rec.wall_time,
         "best_trace": [float(v) for v in rec.best_trace],
     }
-    path.write_text(json.dumps(payload))
-    return path
+    return write_atomic(path, json.dumps(payload))
 
 
 def read_trial_record(path) -> dict:
@@ -275,8 +313,7 @@ def write_trace_csv(out: Path, i: int, rec: RunRecord) -> Path:
     path = out / f"trace_{i:03d}.csv"
     lines = [f"# schema: {TRACE_SCHEMA}", "iteration,best_f"]
     lines += [f"{k},{v!r}" for k, v in enumerate(rec.best_trace)]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_trace_csv(path) -> list[tuple[int, float]]:
@@ -332,8 +369,7 @@ def write_scatter_csv(out: Path, i: int, recorder: ScatterRecorder,
     for row in recorder.rows:
         it, j, home, *x = row
         lines.append(f"{it},{j},{home}," + ",".join(repr(v) for v in x))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,
@@ -348,8 +384,7 @@ def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,
         "record_files": record_files,
         "failures": failures,
     }
-    path.write_text(json.dumps(payload, indent=1))
-    return path
+    return write_atomic(path, json.dumps(payload, indent=1))
 
 
 def read_summary(path) -> dict:
@@ -359,16 +394,93 @@ def read_summary(path) -> dict:
     return d
 
 
+def write_table_csv(path, rows: list[dict]) -> None:
+    """Write a list of uniform dict rows; floats round-trip exactly."""
+    buf = io.StringIO(newline="")
+    if rows:
+        w = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        w.writeheader()
+        for row in rows:
+            w.writerow({k: repr(v) if isinstance(v, float) else v
+                        for k, v in row.items()})
+    write_atomic(Path(path), buf.getvalue())
+
+
 # ---------------------------------------------------------------------------
 # campaign execution
 # ---------------------------------------------------------------------------
 
-def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
+def run_trial(cfg: CampaignConfig, problem: BoundedProblem, budget: int,
+              i: int) -> tuple | dict:
+    """Run trial ``i`` of a campaign and write its files.
+
+    Returns ``(final_f, evals, wall_time, record file name)``, or
+    ``{"trial", "seed", "error"}`` when the objective turned non-finite
+    (no file is written then).  Any other exception propagates.
+    """
+    seed = cfg.base_seed + i
+    shms_cfg = ShmsConfig(max_evals=budget, seed=seed, **cfg.engine)
+    recorder = ScatterRecorder() if cfg.export_scatter else None
+    try:
+        rec = run(problem, shms_cfg, observer=recorder)
+    except NonFiniteObjective as exc:
+        return {"trial": i, "seed": seed, "error": str(exc)}
+    out = Path(cfg.out_dir)
+    name = write_trial_record(out, cfg, i, budget, rec).name
+    if cfg.export_trace:
+        write_trace_csv(out, i, rec)
+    if recorder is not None:
+        recorder.flush()
+        write_scatter_csv(out, i, recorder, problem.dim)
+    return rec.final_f, rec.evals, rec.wall_time, name
+
+
+#: the campaign's trial function; set by _adopt in pool workers only,
+#: each of which serves a single campaign
+_worker_trial = None
+
+
+def _adopt(trial) -> None:
+    global _worker_trial
+    _worker_trial = trial
+
+
+def _call_worker_trial(i: int):
+    return _worker_trial(i)
+
+
+def _trial_results(trial, n: int, workers: int):
+    """``trial(i)`` for ``i`` in ``range(n)``, in order, on up to
+    ``workers`` forked processes (serially where there is no fork)."""
+    workers = min(workers, n)
+    if workers > 1:
+        import multiprocessing
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            pass
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            # fork hands ``trial`` to the workers without pickling it; a
+            # worker that dies raises BrokenProcessPool instead of hanging
+            pool = ProcessPoolExecutor(workers, mp_context=ctx,
+                                       initializer=_adopt, initargs=(trial,))
+            try:
+                yield from pool.map(_call_worker_trial, range(n))
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    yield from map(trial, range(n))
+
+
+def run_campaign(cfg: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run all trials of a campaign and persist the artifacts.
 
-    Returns the summary (also written to ``summary.json``).  A trial that raises
-    :class:`NonFiniteObjective` is logged and skipped; any other
-    exception propagates (it is a bug, not a data issue).
+    Returns the summary (also written to ``summary.json``, last).  A
+    trial that raises :class:`NonFiniteObjective` is logged and skipped;
+    any other exception propagates (it is a bug, not a data issue).
+    With ``workers > 1`` the trials run on that many forked processes;
+    the artifacts are the same apart from wall times.
     """
     problem = resolve_problem(cfg)
     budget = default_budget(cfg, problem)
@@ -381,25 +493,20 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     record_files: list[str] = []
     failures: list[dict] = []
 
-    for i in range(cfg.trials):
-        seed = cfg.base_seed + i
-        shms_cfg = ShmsConfig(max_evals=budget, seed=seed, **cfg.engine)
-        recorder = ScatterRecorder() if cfg.export_scatter else None
-        try:
-            rec = run(problem, shms_cfg, observer=recorder)
-        except NonFiniteObjective as exc:
-            log.warning("trial %d (seed %d) aborted: %s", i, seed, exc)
-            failures.append({"trial": i, "seed": seed, "error": str(exc)})
+    trial = functools.partial(run_trial, cfg, problem, budget)
+    for i, result in enumerate(_trial_results(trial, cfg.trials, workers)):
+        if isinstance(result, dict):
+            log.warning("trial %d (seed %d) aborted: %s", i, result["seed"],
+                        result["error"])
+            failures.append(result)
             continue
-        finals.append(rec.final_f)
-        evals.append(rec.evals)
-        walls.append(rec.wall_time)
-        record_files.append(write_trial_record(out, cfg, i, budget, rec).name)
-        if cfg.export_trace:
-            write_trace_csv(out, i, rec)
-        if recorder is not None:
-            recorder.flush()
-            write_scatter_csv(out, i, recorder, problem.dim)
+        final_f, n_evals, wall, name = result
+        log.info("trial %d (seed %d): final_f %.10g, %d evals, %.3f s",
+                 i, cfg.base_seed + i, final_f, n_evals, wall)
+        finals.append(final_f)
+        evals.append(n_evals)
+        walls.append(wall)
+        record_files.append(name)
 
     summary = summarize(cfg, finals, evals, walls)
     write_summary(out, cfg, summary, finals, record_files, failures)
@@ -586,9 +693,7 @@ def generate_reports(results_dir) -> list[Path]:
     lines.append("")
     lines += [f"note: {n}" for n in notices]
     lines.append(f"files: {', '.join(p.name for p in written)}")
-    report = root / "report.txt"
-    report.write_text("\n".join(lines) + "\n")
-    written.append(report)
+    written.append(write_atomic(root / "report.txt", "\n".join(lines) + "\n"))
     return written
 
 

@@ -338,6 +338,10 @@ def trail_following_update(snail: SnailState, colony: ColonyState,
     # yields the same doubles as a scalar draw followed by a vector draw
     r = rng.random(problem.dim + 1)
     switch = r[0] < cfg.home_switch_prob and cfg.homes > 1
+    if not switch and snail.ld_norm == 0.0:
+        # a zero half-width reproduces the best position, which the
+        # caller discards unevaluated: skip the vector passes
+        return colony.global_best.x.copy()
     u = r[1:]
     u *= 2.0
     u -= 1.0

@@ -16,14 +16,10 @@ workflow on per-problem result vectors:
 Both need only midranks, computed in numpy, and the normal branch one
 tail probability, from :func:`math.erfc`; scipy is not needed at run
 time (the tests use ``scipy.stats`` as the oracle for both).
-
-:func:`write_table_csv` writes result rows as CSV, floats via ``repr``
-so they read back exactly.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -35,7 +31,6 @@ __all__ = [
     "WilcoxonResult",
     "friedman_ranks",
     "wilcoxon_signed_rank",
-    "write_table_csv",
 ]
 
 #: switch point between the exact sign-assignment count and the
@@ -196,22 +191,3 @@ def friedman_ranks(mean_matrix, labels=None) -> FriedmanResult:
     ordering[order] = np.arange(1, len(labels) + 1)
     return FriedmanResult(labels=labels, mean_ranks=mean_ranks,
                           ordering=ordering)
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def write_table_csv(path, rows: list[dict]) -> None:
-    """Write a list of uniform dict rows; floats round-trip exactly."""
-    if not rows:
-        with open(path, "w", newline=""):
-            pass
-        return
-    fields = list(rows[0])
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: repr(v) if isinstance(v, float) else v
-                        for k, v in row.items()})

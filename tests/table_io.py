@@ -4,7 +4,7 @@ import csv
 
 
 def read_table_csv(path) -> list[dict]:
-    """Read back a table written by ``snailopt.stats.write_table_csv``.
+    """Read back a table written by ``snailopt.harness.write_table_csv``.
 
     Values are restored as float / int / bool / str by literal parsing,
     so a write-read cycle reproduces the original rows exactly.

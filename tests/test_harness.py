@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -183,6 +184,130 @@ def test_failing_objective_is_logged_not_fatal(tmp_path, monkeypatch, caplog):
     payload = read_summary(Path(cfg.out_dir) / "summary.json")
     assert [f["trial"] for f in payload["failures"]] == [0, 1, 2]
     assert payload["record_files"] == []
+
+
+def artifacts(out_dir):
+    """A campaign's files by name: CSVs as bytes, JSON without wall times."""
+    files = {}
+    for path in sorted(Path(out_dir).iterdir()):
+        if path.suffix == ".csv":
+            files[path.name] = path.read_bytes()
+        else:
+            payload = json.loads(path.read_text())
+            payload.pop("wall_time", None)
+            payload.get("summary", {}).pop("avg_wall_time", None)
+            files[path.name] = payload
+    return files
+
+
+def test_pool_writes_the_same_artifacts_as_a_serial_run(tmp_path, monkeypatch):
+    contexts = []
+    real_get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        contexts.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    cfg = small_cfg(tmp_path / "camp", export_scatter=True)
+    serial = run_campaign(cfg, workers=1)
+    assert contexts == []
+    (tmp_path / "camp").rename(tmp_path / "serial")
+    pooled = run_campaign(cfg, workers=2)
+    assert contexts == ["fork"]
+    assert artifacts(tmp_path / "camp") == artifacts(tmp_path / "serial")
+    assert len(artifacts(tmp_path / "camp")) == 3 * cfg.trials + 1
+    assert dataclasses.replace(pooled, avg_wall_time=0.0) == \
+        dataclasses.replace(serial, avg_wall_time=0.0)
+
+
+def test_one_trial_or_no_fork_runs_serially(tmp_path, monkeypatch):
+    def no_pool(method=None):
+        raise RuntimeError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    summary = run_campaign(small_cfg(tmp_path / "one", trials=1), workers=4)
+    assert summary.completed == 1
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    summary = run_campaign(small_cfg(tmp_path / "three", trials=3), workers=2)
+    assert summary.completed == 3
+
+
+def test_failing_objective_under_the_pool(tmp_path, monkeypatch, caplog):
+    # the workers inherit the patched resolve_problem and its lambda
+    evil = BoundedProblem(
+        name="evil", dim=2,
+        lower=np.full(2, -1.0), upper=np.full(2, 1.0),
+        func=lambda x: float("nan"),
+    )
+    monkeypatch.setattr(harness, "resolve_problem", lambda cfg: evil)
+    failures = {}
+    for workers in (1, 2):
+        cfg = small_cfg(tmp_path / f"w{workers}", trials=3)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="snailopt.harness"):
+            summary = run_campaign(cfg, workers=workers)
+        assert summary.completed == 0
+        assert sum("aborted" in r.message for r in caplog.records) == 3
+        failures[workers] = read_summary(
+            Path(cfg.out_dir) / "summary.json")["failures"]
+    assert failures[2] == failures[1]
+    assert [f["trial"] for f in failures[2]] == [0, 1, 2]
+
+
+def test_a_bug_in_a_worker_propagates(tmp_path, monkeypatch):
+    def broken(x):
+        raise ZeroDivisionError("objective bug")
+
+    bug = BoundedProblem(name="bug", dim=2, lower=np.full(2, -1.0),
+                         upper=np.full(2, 1.0), func=broken)
+    monkeypatch.setattr(harness, "resolve_problem", lambda cfg: bug)
+    cfg = small_cfg(tmp_path / "camp", trials=3)
+    with pytest.raises(ZeroDivisionError, match="objective bug"):
+        run_campaign(cfg, workers=2)
+    assert not (tmp_path / "camp" / "summary.json").exists()
+
+
+def test_progress_is_logged_per_trial_in_order(tmp_path, caplog):
+    cfg = small_cfg(tmp_path / "camp", trials=3)
+    with caplog.at_level(logging.INFO, logger="snailopt.harness"):
+        run_campaign(cfg, workers=2)
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(lines) == 3
+    for i, line in enumerate(lines):
+        rec = read_trial_record(Path(cfg.out_dir) / f"trial_{i:03d}.json")
+        assert line.startswith(f"trial {i} (seed {cfg.base_seed + i}): "
+                               f"final_f {rec['final_f']:.10g}, "
+                               f"{rec['evals']} evals, ")
+
+
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    rec = snailopt.run(resolve_problem(small_cfg(tmp_path)),
+                       snailopt.ShmsConfig(max_evals=100, seed=1))
+    cfg = small_cfg(tmp_path)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            harness.write_trial_record(tmp_path, cfg, 0, 100, rec)
+    assert list(tmp_path.iterdir()) == []
+
+    path = harness.write_trace_csv(tmp_path, 0, rec)
+    before = path.read_bytes()
+    longer = dataclasses.replace(rec, best_trace=rec.best_trace * 2)
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            harness.write_trace_csv(tmp_path, 0, longer)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
 
 
 def test_readers_reject_foreign_files(tmp_path):
@@ -425,6 +550,14 @@ def test_runtime_never_imports_scipy(tmp_path):
     assert blocked.returncode == 0, blocked.stderr
     rows = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
     assert sorted(r["method"] for r in rows) == ["exact", "exact", "normal"]
+
+
+def test_cli_import_loads_no_pool_machinery():
+    code = ("import sys, snailopt.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_catalog(capsys):

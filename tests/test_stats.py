@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.stats import rankdata
 
+from snailopt.harness import write_table_csv
 from snailopt.stats import (EXACT_LIMIT, NoInformation, WilcoxonResult,
                             _exact_two_sided_p, _midranks, friedman_ranks,
-                            wilcoxon_signed_rank, write_table_csv)
+                            wilcoxon_signed_rank)
 from table_io import read_table_csv
 
 
