@@ -23,8 +23,8 @@ Quick start::
 from .objective import BoundedProblem, EvalCounter, NonFiniteObjective
 from .benchmarks import CATALOG, CANONICAL_DIMS, known_optimum, make_benchmark
 from .shms import RunRecord, ShmsConfig, run
-from .stats import (FriedmanResult, NoInformation, WilcoxonResult,
-                    friedman_ranks, wilcoxon_signed_rank)
+from .stats import (FriedmanResult, WilcoxonResult, friedman_ranks,
+                    wilcoxon_signed_rank)
 from .sthe import (DomainError, StheCase, StheDesign, closeness_percent,
                    evaluate_design, make_case, make_problem, total_cost)
 from .harness import (CampaignConfig, CampaignSummary, generate_reports,
@@ -41,7 +41,6 @@ __all__ = [
     "DomainError",
     "EvalCounter",
     "FriedmanResult",
-    "NoInformation",
     "NonFiniteObjective",
     "RunRecord",
     "ShmsConfig",

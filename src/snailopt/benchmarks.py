@@ -39,7 +39,6 @@ from .objective import BoundedProblem
 __all__ = [
     "BenchmarkSpec",
     "CATALOG",
-    "catalog_json",
     "known_optimum",
     "make_benchmark",
 ]
@@ -377,19 +376,3 @@ def known_optimum(fid: str, dim: int | None = None) -> tuple[float, np.ndarray]:
     f = spec.f_min * n if spec.f_min_per_dim else spec.f_min
     return f, x
 
-
-def catalog_json() -> dict:
-    """The full catalog as a JSON-serializable dict (schema-versioned)."""
-    entries = []
-    for spec in CATALOG.values():
-        entries.append({
-            "id": spec.fid,
-            "name": spec.name,
-            "kind": spec.kind,
-            "range": [spec.lower, spec.upper],
-            "dims": list(CANONICAL_DIMS) if spec.fixed_dim is None else [spec.fixed_dim],
-            "scalable": spec.fixed_dim is None,
-            "f_min": spec.f_min,
-            "f_min_per_dim": spec.f_min_per_dim,
-        })
-    return {"schema": "snailopt.benchmark_catalog/1", "functions": entries}

@@ -1,10 +1,13 @@
 """Command-line front end: ``run``, ``report``, and ``catalog``.
 
 ``run`` executes a campaign described by CLI flags, a JSON config file,
-or both (flags win); its trials run in parallel on the CPUs the process
-may use (``taskset`` limits them), with the same artifacts as a serial
-run.  ``report`` builds the statistics artifacts from a
-directory of campaigns.  ``catalog`` lists the solvable problems.
+or both (flags win: each flag given is stored under its config key);
+its trials run in parallel on the CPUs the process may use
+(``taskset`` limits them), with the same artifacts as a serial run.  A
+config that does not construct (a bad value or config file) is a usage
+error: one ``snailopt: error: …`` line, exit status 2, nothing written.
+``report`` builds the statistics artifacts from a directory of
+campaigns.  ``catalog`` lists the solvable problems.
 
 Examples
 --------
@@ -26,12 +29,10 @@ import os
 import sys
 from pathlib import Path
 
-from .benchmarks import catalog_json
-from .harness import (CampaignConfig, STHE_BUDGETS, generate_reports,
-                      run_campaign)
+from .benchmarks import CANONICAL_DIMS, CATALOG
+from .harness import (ENGINE_KEYS, STHE_BUDGETS, CampaignConfig,
+                      generate_reports, run_campaign)
 from .sthe import make_case
-
-log = logging.getLogger("snailopt.cli")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,34 +44,39 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one campaign")
-    p_run.add_argument("--config", type=Path, default=None,
+    # a flag that is not given sets nothing; one that is given is stored
+    # under its campaign config (or engine) key
+    p_run = sub.add_parser("run", help="run one campaign",
+                           argument_default=argparse.SUPPRESS)
+    p_run.add_argument("--config", type=Path,
                        help="JSON file mirroring the campaign config; "
                             "flags given here override its values")
-    p_run.add_argument("--problem", default=None,
-                       help="F1..F23 or sthe1|sthe2|sthe3")
-    p_run.add_argument("--dim", type=int, default=None,
+    p_run.add_argument("--problem", help="F1..F23 or sthe1|sthe2|sthe3")
+    p_run.add_argument("--dim", type=int,
                        help="dimension for scalable benchmarks (default 30)")
-    p_run.add_argument("--trials", type=int, default=None,
+    p_run.add_argument("--trials", type=int,
                        help="independent runs (default 30)")
-    p_run.add_argument("--max-evals", type=int, default=None,
+    p_run.add_argument("--max-evals", type=int,
                        help="evaluation budget per trial (default: documented "
                             "per-problem value)")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=int, dest="base_seed", metavar="SEED",
                        help="base seed; trial i uses seed+i (default 1)")
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--label", default=None, help="label used in reports")
-    p_run.add_argument("--no-trace", action="store_true",
+    p_run.add_argument("--out", dest="out_dir", metavar="OUT",
+                       help="output directory")
+    p_run.add_argument("--label", help="label used in reports")
+    p_run.add_argument("--no-trace", action="store_false", dest="export_trace",
                        help="skip per-trial convergence CSVs")
-    p_run.add_argument("--scatter", action="store_true",
+    p_run.add_argument("--scatter", action="store_true", dest="export_scatter",
                        help="write per-trial colony snapshot CSVs")
-    p_run.add_argument("--homes", type=int, default=None,
+    p_run.add_argument("--homes", type=int,
                        help="override: number of homes")
-    p_run.add_argument("--snails", type=int, default=None,
-                       help="override: snails per home")
-    p_run.add_argument("--switch-prob", type=float, default=None,
+    p_run.add_argument("--snails", type=int, dest="snails_per_home",
+                       metavar="SNAILS", help="override: snails per home")
+    p_run.add_argument("--switch-prob", type=float, dest="home_switch_prob",
+                       metavar="SWITCH_PROB",
                        help="override: per-iteration home-switch probability")
-    p_run.add_argument("--neighborhood-frac", type=float, default=None,
+    p_run.add_argument("--neighborhood-frac", type=float,
+                       dest="neighborhood_fraction", metavar="NEIGHBORHOOD_FRAC",
                        help="override: home neighbourhood fraction")
 
     p_rep = sub.add_parser("report", help="build reports from campaigns")
@@ -82,37 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> CampaignConfig:
-    """Merge defaults, the optional config file, and CLI flags."""
-    values: dict = {}
-    if args.config is not None:
-        values = json.loads(Path(args.config).read_text())
-        values.pop("schema", None)
-    overrides = {
-        "problem": args.problem,
-        "dim": args.dim,
-        "trials": args.trials,
-        "max_evals": args.max_evals,
-        "base_seed": args.seed,
-        "out_dir": args.out,
-        "label": args.label,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    if args.no_trace:
-        values["export_trace"] = False
-    if args.scatter:
-        values["export_scatter"] = True
-    engine = dict(values.get("engine", {}))
-    engine_flags = {
-        "homes": args.homes,
-        "snails_per_home": args.snails,
-        "home_switch_prob": args.switch_prob,
-        "neighborhood_fraction": args.neighborhood_frac,
-    }
-    for key, val in engine_flags.items():
-        if val is not None:
-            engine[key] = val
+    """Merge the optional config file and the flags given (flags win)."""
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "verbose", "config")}
+    values = json.loads(args.config.read_text()) if "config" in args else {}
+    if not isinstance(values, dict):
+        raise ValueError(f"{args.config}: not a JSON object")
+    engine = {**values.get("engine", {}),
+              **{k: flags.pop(k) for k in ENGINE_KEYS if k in flags}}
+    values.update(flags)
     if engine:
         values["engine"] = engine
     return CampaignConfig.from_dict(values)
@@ -125,8 +109,7 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
+def cmd_run(cfg: CampaignConfig) -> int:
     summary = run_campaign(cfg, workers=usable_cpus())
     if summary.completed == 0:
         print(f"{cfg.display_label}: no trial completed", file=sys.stderr)
@@ -146,15 +129,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog() -> int:
-    cat = catalog_json()
     print("benchmark functions:")
     print(f"  {'id':<4} {'name':<22} {'dims':<18} {'box':<16} f_min")
-    for fn in cat["functions"]:
-        dims = ",".join(str(d) for d in fn["dims"]) if fn["scalable"] else str(fn["dims"][0])
-        box = f"[{fn['range'][0]:g}, {fn['range'][1]:g}]"
-        fmin = fn["f_min"]
-        note = " per dim" if fn["f_min_per_dim"] else ""
-        print(f"  {fn['id']:<4} {fn['name']:<22} {dims:<18} {box:<16} {fmin:g}{note}")
+    for spec in CATALOG.values():
+        dims = (",".join(map(str, CANONICAL_DIMS)) if spec.fixed_dim is None
+                else str(spec.fixed_dim))
+        box = f"[{spec.lower:g}, {spec.upper:g}]"
+        note = " per dim" if spec.f_min_per_dim else ""
+        print(f"  {spec.fid:<4} {spec.name:<22} {dims:<18} {box:<16} "
+              f"{spec.f_min:g}{note}")
     print("\nexchanger sizing cases:")
     for cid in (1, 2, 3):
         case = make_case(cid)
@@ -164,16 +147,23 @@ def cmd_catalog() -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.command == "run":
-        return cmd_run(args)
     if args.command == "report":
         return cmd_report(args)
-    return cmd_catalog()
+    if args.command == "catalog":
+        return cmd_catalog()
+    # a bad flag value or config file is a usage error, refused before
+    # anything is written; errors inside the trials are not caught
+    try:
+        cfg = config_from_args(args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+    return cmd_run(cfg)
 
 
 if __name__ == "__main__":

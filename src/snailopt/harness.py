@@ -34,8 +34,11 @@ only.
 :func:`generate_reports` turns a directory of campaigns into the
 statistics artifacts: a Friedman ranking table computed from the
 bundled published per-problem means, pairwise signed-rank tables where
-two or more campaigns cover the same problem, and a closeness table
-comparing exchanger campaign results against the published designs.
+two or more campaigns cover the same problem (one row per pair: the
+problem, the two labels and the fields of
+:class:`~snailopt.stats.WilcoxonResult`, a rerun on the same seeds
+reading "no information"), and a closeness table comparing exchanger
+campaign results against the published designs.
 
 Every output file carries a schema tag; the column layouts are
 documented in ``data/output_schemas.json``.
@@ -47,6 +50,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import logging
 import os
@@ -59,7 +63,7 @@ import numpy as np
 from .benchmarks import CATALOG, make_benchmark
 from .objective import BoundedProblem, NonFiniteObjective
 from .shms import RunRecord, ShmsConfig, run
-from .stats import NoInformation, friedman_ranks, wilcoxon_signed_rank
+from .stats import friedman_ranks, wilcoxon_signed_rank
 from .sthe import (closeness_direction, closeness_percent, make_problem,
                    published_tables)
 
@@ -99,6 +103,10 @@ RETIRED_SWITCHES = {
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything needed to rerun a campaign.
+
+    Construction checks every value a run depends on (problem,
+    dimension, engine overrides, budget) and raises ``ValueError``, so
+    a config that constructs can run.
 
     Parameters
     ----------
@@ -148,6 +156,10 @@ class CampaignConfig:
         bad = set(self.engine) - set(ENGINE_KEYS)
         if bad:
             raise ValueError(f"unknown engine override(s): {sorted(bad)}")
+        # the problem checks the dimension, the engine its values and
+        # the budget
+        ShmsConfig(max_evals=default_budget(self, resolve_problem(self)),
+                   **self.engine)
 
     @property
     def is_sthe(self) -> bool:
@@ -571,13 +583,6 @@ def published_friedman_rows() -> list[dict]:
     return rows
 
 
-def _campaign_groups(campaigns):
-    groups: dict[str, list] = {}
-    for cfg, summary, payload in campaigns:
-        groups.setdefault(cfg.problem_key, []).append((cfg, summary, payload))
-    return groups
-
-
 def generate_reports(results_dir) -> list[Path]:
     """Build report files for every campaign found under ``results_dir``.
 
@@ -592,6 +597,7 @@ def generate_reports(results_dir) -> list[Path]:
     notices: list[str] = []
 
     campaigns = []
+    groups: dict[str, list] = {}  # problem key -> [(label, finals)]
     for path in sorted(root.rglob("summary.json")):
         try:
             cfg, summary, payload = load_campaign(path)
@@ -599,7 +605,9 @@ def generate_reports(results_dir) -> list[Path]:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             notices.append(f"skipped {path}: {exc}")
             continue
-        campaigns.append((cfg, summary, payload))
+        campaigns.append((cfg, summary))
+        groups.setdefault(cfg.problem_key, []).append(
+            (cfg.display_label, payload["finals"]))
 
     # Friedman table from the bundled published means (always available)
     friedman_rows = published_friedman_rows()
@@ -609,51 +617,32 @@ def generate_reports(results_dir) -> list[Path]:
 
     # pairwise signed-rank tables wherever raw per-run data overlaps
     wil_rows = []
-    for key, group in sorted(_campaign_groups(campaigns).items()):
-        if len(group) < 2:
-            continue
+    for key, group in sorted(groups.items()):
         finals = {}
-        for idx, (cfg, _s, payload) in enumerate(group):
-            label = cfg.display_label
-            if label in finals:
-                label = f"{label}#{idx}"
-            finals[label] = payload["finals"]
-        labels = list(finals)
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                a, b = labels[i], labels[j]
-                n = min(len(finals[a]), len(finals[b]))
-                if n < 5:
-                    notices.append(f"{key}: fewer than 5 shared trials for "
-                                   f"{a} vs {b}; pair skipped")
-                    continue
-                try:
-                    res = wilcoxon_signed_rank(finals[a][:n], finals[b][:n],
-                                               labels=(a, b))
-                    row = {"problem": key, "a": a, "b": b,
-                           "n_nonzero": res.n_nonzero, "p_value": res.p_value,
-                           "t_plus": res.t_plus, "t_minus": res.t_minus,
-                           "winner": res.winner,
-                           "significant": res.significant,
-                           "method": res.method}
-                except NoInformation:
-                    row = {"problem": key, "a": a, "b": b, "n_nonzero": 0,
-                           "p_value": 1.0, "t_plus": 0.0, "t_minus": 0.0,
-                           "winner": "no information", "significant": False,
-                           "method": "none"}
-                wil_rows.append(row)
+        for idx, (label, run_finals) in enumerate(group):
+            finals[f"{label}#{idx}" if label in finals else label] = run_finals
+        for a, b in itertools.combinations(finals, 2):
+            n = min(len(finals[a]), len(finals[b]))
+            if n < 5:
+                notices.append(f"{key}: fewer than 5 shared trials for "
+                               f"{a} vs {b}; pair skipped")
+                continue
+            res = wilcoxon_signed_rank(finals[a][:n], finals[b][:n],
+                                       labels=(a, b))
+            wil_rows.append({"problem": key, "a": a, "b": b,
+                             **dataclasses.asdict(res)})
     if wil_rows:
         w_path = root / "wilcoxon_pairwise.csv"
         write_table_csv(w_path, wil_rows)
         written.append(w_path)
-    elif not any(len(g) >= 2 for g in _campaign_groups(campaigns).values()):
+    elif not any(len(g) >= 2 for g in groups.values()):
         notices.append("no problem is covered by two campaigns; "
                        "pairwise signed-rank table skipped")
 
     # closeness table for exchanger campaigns
     close_rows = []
     published = None
-    for cfg, summary, _payload in campaigns:
+    for cfg, summary in campaigns:
         if not cfg.is_sthe or summary.completed == 0:
             continue
         if published is None:
@@ -672,13 +661,13 @@ def generate_reports(results_dir) -> list[Path]:
         c_path = root / "closeness_sthe.csv"
         write_table_csv(c_path, close_rows)
         written.append(c_path)
-    elif any(cfg.is_sthe for cfg, _s, _p in campaigns):
+    elif any(cfg.is_sthe for cfg, _s in campaigns):
         notices.append("exchanger campaigns present but none completed")
 
     lines = [f"# schema: {REPORT_SCHEMA}", ""]
     if campaigns:
         lines.append(f"campaigns found: {len(campaigns)}")
-        for cfg, summary, _payload in campaigns:
+        for cfg, summary in campaigns:
             if summary.completed:
                 lines.append(
                     f"  {cfg.display_label:<20} best {summary.best:.6g}  "

@@ -3,10 +3,9 @@
 Every search problem handled by this package is a box-constrained
 minimization problem: a callable objective together with elementwise
 lower/upper bounds.  This module defines the problem container, the
-evaluation counter used for budget accounting, and the two primitive
-operations ``clamp`` and ``evaluate``.  Every evaluation goes through
-``evaluate``; the engine's move loop clamps its candidates in place
-with the same arithmetic as ``clamp``.
+evaluation counter used for budget accounting, and ``evaluate``, the
+one primitive every evaluation goes through.  Box projection is a
+plain ``np.clip`` onto ``lower``/``upper`` where the engine needs it.
 
 Keeping all evaluations behind :func:`evaluate` guarantees that budget
 accounting is exact and that non-finite objective values are caught at
@@ -25,7 +24,6 @@ __all__ = [
     "BoundedProblem",
     "EvalCounter",
     "NonFiniteObjective",
-    "clamp",
     "evaluate",
 ]
 
@@ -95,16 +93,6 @@ class EvalCounter:
     """Counts objective evaluations; one increment per :func:`evaluate`."""
 
     count: int = 0
-
-
-def clamp(x: np.ndarray, problem: BoundedProblem) -> np.ndarray:
-    """Project ``x`` onto the problem's box, componentwise.
-
-    Returns a new array; the input is never modified.  Idempotent:
-    clamping a clamped point is a no-op, and an in-box point is
-    returned bitwise unchanged.
-    """
-    return np.clip(np.asarray(x, dtype=float), problem.lower, problem.upper)
 
 
 def evaluate(problem: BoundedProblem, x: np.ndarray, counter: EvalCounter) -> float:

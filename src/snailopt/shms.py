@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import BoundedProblem, EvalCounter, clamp, evaluate
+from .objective import BoundedProblem, EvalCounter, evaluate
 
 __all__ = [
     "LARGE_LD",
@@ -292,7 +292,8 @@ def init_colony(problem: BoundedProblem, cfg: ShmsConfig,
         centre = problem.lower + rng.random(dim) * problem.width
         home_best = math.inf
         for _ in range(cfg.snails_per_home):
-            x = clamp(centre + c * (2.0 * rng.random(dim) - 1.0), problem)
+            x = np.clip(centre + c * (2.0 * rng.random(dim) - 1.0),
+                        problem.lower, problem.upper)
             f = evaluate(problem, x, counter)
             snails.append(SnailState(x=x, f=f, f_hist=(f, f, f), home_id=h))
             home_best = min(home_best, f)

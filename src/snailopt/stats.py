@@ -4,12 +4,13 @@ Two tools cover the usual "is optimizer A actually better than B"
 workflow on per-problem result vectors:
 
 * :func:`wilcoxon_signed_rank` — two-sided paired signed-rank test.
-  Zero differences are dropped (Wilcoxon's original treatment), tied
-  absolute differences receive midranks, and the p-value is computed
-  EXACTLY for up to 20 non-zero pairs by counting sign assignments
-  with an integer convolution (no 2^n enumeration), falling back to a
-  normal approximation with continuity and tie corrections beyond
-  that.
+  Zero differences are dropped (Wilcoxon's original treatment); when
+  all of them are zero the result reads "no information" (p = 1).
+  Tied absolute differences receive midranks, and the p-value is
+  computed EXACTLY for up to 20 non-zero pairs by counting sign
+  assignments with an integer convolution (no 2^n enumeration),
+  falling back to a normal approximation with continuity and tie
+  corrections beyond that.
 * :func:`friedman_ranks` — mean ranks across problems (ascending:
   rank 1 is best for minimization) plus the final ordering.
 
@@ -27,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "FriedmanResult",
-    "NoInformation",
     "WilcoxonResult",
     "friedman_ranks",
     "wilcoxon_signed_rank",
@@ -37,9 +37,8 @@ __all__ = [
 #: normal approximation
 EXACT_LIMIT = 20
 
-
-class NoInformation(ValueError):
-    """Raised when every paired difference is zero (nothing to rank)."""
+#: significance level of the ``significant`` flag
+ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -51,16 +50,17 @@ class WilcoxonResult:
     where the second sample is larger.  ``winner`` names the sample
     with the smaller loss rank sum — reported descriptively even when
     the difference is not significant; check ``significant`` before
-    reading anything into it.
+    reading anything into it.  The fields are in the column order of
+    the report's ``wilcoxon_pairwise.csv``.
     """
 
+    n_nonzero: int
     p_value: float
     t_plus: float
     t_minus: float
-    n_nonzero: int
     winner: str
     significant: bool
-    method: str  # "exact" or "normal"
+    method: str  # "exact", "normal", or "none" (no non-zero difference)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _exact_two_sided_p(ranks: np.ndarray, t_low: float) -> float:
     return min(1.0, 2.0 * tail / 2.0 ** len(weights))
 
 
-def wilcoxon_signed_rank(a, b, alpha: float = 0.05,
+def wilcoxon_signed_rank(a, b,
                          labels: tuple[str, str] = ("A", "B")) -> WilcoxonResult:
     """Two-sided paired signed-rank test between result vectors.
 
@@ -122,15 +122,12 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05,
     a, b : array-like
         Equal-length (>= 5) paired results, e.g. per-problem means of
         two optimizers (lower is better).
-    alpha : float
-        Significance level for the ``significant`` flag.
     labels : (str, str)
         Names for the two samples, used for the ``winner`` field.
 
-    Raises
-    ------
-    NoInformation
-        If every difference is exactly zero.
+    If every difference is exactly zero there is nothing to rank: the
+    result has ``n_nonzero == 0``, ``p_value == 1.0``, winner
+    ``"no information"`` and method ``"none"``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -142,7 +139,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05,
     d = d[d != 0.0]
     n = int(d.size)
     if n == 0:
-        raise NoInformation("all paired differences are zero")
+        return WilcoxonResult(0, 1.0, 0.0, 0.0, "no information", False, "none")
     ranks = _midranks(np.abs(d))
     t_plus = float(ranks[d > 0].sum())
     t_minus = float(ranks[d < 0].sum())
@@ -163,9 +160,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05,
         winner = labels[1]
     else:
         winner = "tie"
-    return WilcoxonResult(p_value=p, t_plus=t_plus, t_minus=t_minus,
-                          n_nonzero=n, winner=winner,
-                          significant=p < alpha, method=method)
+    return WilcoxonResult(n, p, t_plus, t_minus, winner, p < ALPHA, method)
 
 
 def friedman_ranks(mean_matrix, labels=None) -> FriedmanResult:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from snailopt.benchmarks import (CANONICAL_DIMS, CATALOG, catalog_json,
-                                 known_optimum, make_benchmark)
+from snailopt.benchmarks import (CANONICAL_DIMS, CATALOG, known_optimum,
+                                 make_benchmark)
 from snailopt.objective import EvalCounter, evaluate
 
 #: functions whose minimum sits at the origin with value exactly zero
@@ -84,17 +84,6 @@ def test_product_term_function_survives_extreme_inputs():
     problem = make_benchmark("F2", 1000)
     value = problem.func(problem.upper.copy())
     assert np.isfinite(value) and value > 0.0
-
-
-def test_catalog_json_shape():
-    cat = catalog_json()
-    assert cat["schema"].startswith("snailopt.benchmark_catalog/")
-    assert len(cat["functions"]) == 23
-    ids = [f["id"] for f in cat["functions"]]
-    assert ids == [f"F{k}" for k in range(1, 24)]
-    by_id = {f["id"]: f for f in cat["functions"]}
-    assert by_id["F1"]["scalable"] and by_id["F16"]["dims"] == [2]
-    assert by_id["F8"]["f_min_per_dim"]
 
 
 def test_reference_values_spot_checks():

@@ -434,6 +434,23 @@ def test_reports_rerun_campaigns_as_no_information(tmp_path):
     assert row["n_nonzero"] == 0 and row["significant"] is False
 
 
+def test_report_headers_match_the_documented_columns(tmp_path):
+    # a rerun pairs as "no information", which still fills every column
+    run_campaign(small_cfg(tmp_path / "a", label="first"))
+    run_campaign(small_cfg(tmp_path / "b", label="rerun"))
+    run_campaign(small_cfg(tmp_path / "sthe", problem="sthe1", trials=2,
+                           max_evals=600))
+    written = {p.name for p in generate_reports(tmp_path)}
+    schemas = output_schemas()["schemas"]
+    for name in ("friedman_published.csv", "wilcoxon_pairwise.csv",
+                 "closeness_sthe.csv"):
+        assert name in written
+        header = (tmp_path / name).read_text().splitlines()[0]
+        assert header.split(",") == list(schemas[f"report: {name}"]["columns"])
+    rows = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
+    assert [row["winner"] for row in rows] == ["no information"]
+
+
 def damaged_summaries(payload):
     """summary.json texts that must not survive loading, by case name."""
     tampered = list(payload["finals"])
@@ -562,9 +579,48 @@ def test_cli_import_loads_no_pool_machinery():
 
 def test_cli_catalog(capsys):
     assert cli.main(["catalog"]) == 0
-    text = capsys.readouterr().out
-    assert "F1" in text and "F23" in text
-    assert "sthe1" in text and "sthe3" in text
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[1]
+    dims = slice(header.index("dims"), header.index("box"))
+    rows = {line.split()[0]: line for line in lines
+            if line.startswith("  F")}
+    assert list(rows) == [f"F{k}" for k in range(1, 24)]
+    assert rows["F1"][dims].strip() == "30,100,500,1000"
+    assert rows["F16"][dims].strip() == "2"
+    assert [fid for fid, line in rows.items()
+            if line.endswith(" per dim")] == ["F8"]
+    cases = [line.split()[0] for line in lines if line.startswith("  sthe")]
+    assert cases == ["sthe1", "sthe2", "sthe3"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--problem", "F16", "--homes", "0"],
+    ["--problem", "F16", "--max-evals", "10"],
+    ["--problem", "F99"],
+    ["--problem", "sthe1", "--dim", "5"],
+    ["--config", "missing.json"],
+])
+def test_cli_refuses_a_bad_campaign_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "camp"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("snailopt: error: ")
+    assert not out.exists()
+
+
+def test_cli_does_not_catch_errors_raised_in_a_trial(tmp_path, monkeypatch):
+    def broken(x):
+        raise ValueError("objective bug")
+
+    bug = BoundedProblem(name="bug", dim=2, lower=np.full(2, -1.0),
+                         upper=np.full(2, 1.0), func=broken)
+    monkeypatch.setattr(harness, "resolve_problem", lambda cfg: bug)
+    with pytest.raises(ValueError, match="objective bug"):
+        cli.main(["run", "--problem", "F16", "--trials", "1",
+                  "--out", str(tmp_path / "camp")])
 
 
 def test_cli_config_file_with_flag_overrides(tmp_path):

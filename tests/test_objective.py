@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snailopt.objective import (BoundedProblem, EvalCounter, NonFiniteObjective,
-                                clamp, evaluate)
+                                evaluate)
 
 
 def make_problem(dim=3, lo=-2.0, hi=2.0, func=None):
@@ -43,16 +43,6 @@ def test_nonfinite_bounds_rejected():
 def test_nonpositive_dim_rejected():
     with pytest.raises(ValueError):
         BoundedProblem("bad", 0, np.zeros(0), np.zeros(0), lambda x: 0.0)
-
-
-def test_clamp_projects_inside():
-    p = make_problem()
-    x = np.array([-5.0, 0.5, 9.0])
-    y = clamp(x, p)
-    assert np.array_equal(y, [-2.0, 0.5, 2.0])
-    # already-inside points are untouched
-    z = np.array([0.1, -0.2, 0.3])
-    assert np.array_equal(clamp(z, p), z)
 
 
 def test_counter_tracks_every_evaluation():
