@@ -91,14 +91,16 @@ def config_from_args(args: argparse.Namespace) -> CampaignConfig:
     """Merge the optional config file and the flags given (flags win)."""
     flags = {k: v for k, v in vars(args).items()
              if k not in ("command", "verbose", "config")}
-    values = json.loads(args.config.read_text()) if "config" in args else {}
+    try:
+        values = json.loads(args.config.read_text()) if "config" in args else {}
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError(f"{args.config}: not a JSON object")
-    engine = {**values.get("engine", {}),
-              **{k: flags.pop(k) for k in ENGINE_KEYS if k in flags}}
+    engine = {k: flags.pop(k) for k in ENGINE_KEYS if k in flags}
     values.update(flags)
-    if engine:
-        values["engine"] = engine
+    if engine and isinstance(values.setdefault("engine", {}), dict):
+        values["engine"].update(engine)
     return CampaignConfig.from_dict(values)
 
 

@@ -4,7 +4,7 @@ A *campaign* solves one problem (a catalogued benchmark function or one
 of the exchanger sizing cases) over a number of independent seeded
 trials and persists everything needed to reproduce or re-analyse it:
 
-* one JSON record per trial (seed, final point, objective, trace),
+* one JSON record per trial, the engine's run record (:func:`trial_record`),
 * an optional per-iteration convergence trace CSV per trial,
 * an optional colony scatter CSV per trial (snapshots of snail
   positions and home assignments, for plotting),
@@ -15,17 +15,18 @@ fully reproducible from its config file alone.  Trials whose objective
 evaluation fails are logged and skipped; the campaign carries on.
 
 Trials share nothing, so :func:`run_trial` runs one of them on its own:
-it runs the engine, writes that trial's files and returns only
-``(final_f, evals, wall_time, record name)``, or a failure dict.
-:func:`run_campaign` maps it over the trial indices, serially or on a
-pool of forked workers, collects the results in trial order and writes
-``summary.json`` last.  Forked workers inherit the imported modules and
-the ``(cfg, problem, budget)`` job, so nothing is pickled into the pool
-(a problem may hold a lambda), and the artifacts are byte-identical to
-a serial run apart from the wall-time fields.  The library default is
-serial: callers that wrap ``run`` or the writers in-process (counting
-objective calls, timing layers) would see nothing of what a worker
-does.  The CLI passes the number of CPUs the process may use.
+it runs the engine, writes that trial's files and returns the trial
+record, or a failure dict.  :func:`run_campaign` maps it over the trial
+indices, serially or on a pool of forked workers, summarizes the records
+in trial order and writes ``summary.json`` last; :func:`load_campaign`
+re-derives the summary from the same records on disk.  Forked workers
+inherit the imported modules and the ``(cfg, problem, budget)`` job, so
+nothing is pickled into the pool (a problem may hold a lambda), and the
+artifacts are byte-identical to a serial run apart from the wall-time
+fields.  The library default is serial: callers that wrap ``run`` or
+the writers in-process (counting objective calls, timing layers) would
+see nothing of what a worker does.  The CLI passes the number of CPUs
+the process may use.
 
 Every file is written to a temporary name in its target directory and
 then renamed over the target, so an interrupted run leaves whole files
@@ -54,6 +55,7 @@ import itertools
 import json
 import logging
 import os
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -70,6 +72,7 @@ from .sthe import (closeness_direction, closeness_percent, make_problem,
 log = logging.getLogger("snailopt.harness")
 
 TRIAL_SCHEMA = "snailopt.trial/1"
+TRIAL_FILE = "trial_{:03d}.json"
 SUMMARY_SCHEMA = "snailopt.summary/1"
 TRACE_SCHEMA = "snailopt.trace/1"
 SCATTER_SCHEMA = "snailopt.scatter/1"
@@ -82,15 +85,9 @@ BENCHMARK_BUDGET_SMALL = 30_000   # dim <= 100
 BENCHMARK_BUDGET_LARGE = 100_000  # dim > 100
 STHE_BUDGETS = {1: 20_510, 2: 17_235, 3: 44_721}
 
-#: ShmsConfig fields a config file may override.
-ENGINE_KEYS = (
-    "homes",
-    "snails_per_home",
-    "neighborhood_fraction",
-    "home_switch_prob",
-    "stagnation_window",
-    "stagnation_tol",
-)
+#: ShmsConfig fields a config file may override (the campaign sets the rest).
+ENGINE_KEYS = tuple(f.name for f in dataclasses.fields(ShmsConfig)
+                    if f.name not in ("max_evals", "seed"))
 
 #: Retired config switches.  Older summaries embed them as true, which
 #: is dropped; false asked for what no longer exists, so it is refused.
@@ -104,7 +101,7 @@ RETIRED_SWITCHES = {
 class CampaignConfig:
     """Everything needed to rerun a campaign.
 
-    Construction checks every value a run depends on (problem,
+    Construction checks every value a run depends on (types, problem,
     dimension, engine overrides, budget) and raises ``ValueError``, so
     a config that constructs can run.
 
@@ -149,6 +146,7 @@ class CampaignConfig:
     export_scatter: bool = False
 
     def __post_init__(self):
+        _check_types(CampaignConfig, vars(self), "config key")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not (self.problem in CATALOG or self.problem in ("sthe1", "sthe2", "sthe3")):
@@ -156,8 +154,8 @@ class CampaignConfig:
         bad = set(self.engine) - set(ENGINE_KEYS)
         if bad:
             raise ValueError(f"unknown engine override(s): {sorted(bad)}")
-        # the problem checks the dimension, the engine its values and
-        # the budget
+        _check_types(ShmsConfig, self.engine, "engine key")
+        # the problem checks the dimension, the engine its values and budget
         ShmsConfig(max_evals=default_budget(self, resolve_problem(self)),
                    **self.engine)
 
@@ -170,9 +168,7 @@ class CampaignConfig:
         """Problem identity used to align campaigns in reports."""
         if self.is_sthe:
             return self.problem
-        spec = CATALOG[self.problem]
-        n = spec.fixed_dim if spec.fixed_dim is not None else (self.dim or 30)
-        return f"{self.problem}-d{n}"
+        return f"{self.problem}-d{resolve_problem(self).dim}"
 
     @property
     def display_label(self) -> str:
@@ -195,6 +191,19 @@ class CampaignConfig:
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
         return cls(**d)
+
+
+def _check_types(cls, values: dict, what: str) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` not of its type
+    in dataclass ``cls`` (an int passes as a float, a bool not as an int)."""
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        allowed += (int,) if float in allowed else ()
+        if (isinstance(value, bool) != (bool in allowed)
+                or not isinstance(value, allowed)):
+            kind = getattr(hints[key], "__name__", hints[key])
+            raise ValueError(f"{what} {key!r} must be {kind}; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -241,19 +250,14 @@ def default_budget(cfg: CampaignConfig, problem: BoundedProblem) -> int:
     return BENCHMARK_BUDGET_LARGE
 
 
-def summarize(cfg: CampaignConfig, finals, evals, walls) -> CampaignSummary:
-    """Aggregate per-trial results; pure, so summaries re-derive exactly.
-
-    ``finals``/``evals``/``walls`` are the per-completed-trial final
-    objectives, evaluation counts, and wall times.
-    """
-    finals = [float(v) for v in finals]
-    n = len(finals)
-    if n == 0:
+def summarize(cfg: CampaignConfig, records: list[dict]) -> CampaignSummary:
+    """Aggregate the completed trials' records (:func:`trial_record`);
+    pure, so a summary re-derives exactly from the records on disk."""
+    if not records:
         nan = float("nan")
         return CampaignSummary(cfg.problem_key, cfg.display_label, cfg.trials,
                                0, nan, nan, nan, nan, nan, nan)
-    arr = np.asarray(finals, dtype=float)
+    arr = np.array([float(r["final_f"]) for r in records])
     best = float(arr.min())
     worst = float(arr.max())
     # summation round-off can push the mean of near-identical finals a
@@ -263,13 +267,13 @@ def summarize(cfg: CampaignConfig, finals, evals, walls) -> CampaignSummary:
         problem_key=cfg.problem_key,
         label=cfg.display_label,
         trials=cfg.trials,
-        completed=n,
+        completed=len(records),
         best=best,
         worst=worst,
         mean=mean,
         std=float(arr.std()),
-        avg_evals=float(np.mean(np.asarray(evals, dtype=float))),
-        avg_wall_time=float(np.mean(np.asarray(walls, dtype=float))),
+        avg_evals=float(np.mean([float(r["evals"]) for r in records])),
+        avg_wall_time=float(np.mean([float(r["wall_time"]) for r in records])),
     )
 
 
@@ -296,22 +300,15 @@ def write_atomic(path: Path, text: str) -> Path:
     return path
 
 
-def write_trial_record(out: Path, cfg: CampaignConfig, i: int,
-                       budget: int, rec: RunRecord) -> Path:
-    path = out / f"trial_{i:03d}.json"
-    payload = {
-        "schema": TRIAL_SCHEMA,
-        "problem": cfg.problem_key,
-        "trial": i,
-        "seed": rec.seed,
-        "max_evals": budget,
-        "final_f": rec.final_f,
-        "final_x": [float(v) for v in rec.final_x],
-        "evals": rec.evals,
-        "wall_time": rec.wall_time,
-        "best_trace": [float(v) for v in rec.best_trace],
-    }
-    return write_atomic(path, json.dumps(payload))
+def trial_record(cfg: CampaignConfig, i: int, rec: RunRecord) -> dict:
+    """Trial ``i``'s record: its problem and index, then ``rec``'s fields."""
+    return {"schema": TRIAL_SCHEMA, "problem": cfg.problem_key, "trial": i,
+            **vars(rec), "final_x": rec.final_x.tolist()}
+
+
+def write_trial_record(out: Path, record: dict) -> Path:
+    return write_atomic(out / TRIAL_FILE.format(record["trial"]),
+                        json.dumps(record))
 
 
 def read_trial_record(path) -> dict:
@@ -346,31 +343,26 @@ class ScatterRecorder:
     and (via :meth:`flush`) the final state, so file size grows
     logarithmically with run length.
 
-    Between recordings only ``(home_id, x)`` references to the latest
-    colony are kept.  That relies on the engine's invariant that snail
-    positions are replaced, never mutated; the coordinates are turned
-    into Python floats only for the snapshots that get recorded.
+    Between recordings it keeps only the colony: ``run`` passes the same
+    object on every call and changes nothing after the last one, so
+    :meth:`flush` reads the final state from it after the run.
     """
 
     def __init__(self):
         self.rows: list[tuple] = []
-        self._latest: list[tuple] = []
-        self._latest_iter = -1
+        self._colony = None
 
     def __call__(self, colony) -> None:
-        self._latest = [(s.home_id, s.x) for s in colony.snails]
-        self._latest_iter = it = colony.iteration
-        if it == 0 or (it & (it - 1)) == 0:
-            self._record_latest()
-
-    def _record_latest(self) -> None:
-        it = self._latest_iter
-        self.rows.extend((it, j, home, *x.tolist())
-                         for j, (home, x) in enumerate(self._latest))
+        self._colony = colony
+        if not colony.iteration & (colony.iteration - 1):  # 0 or a power of 2
+            self.flush()
 
     def flush(self) -> None:
-        if self._latest and (not self.rows or self.rows[-1][0] != self._latest_iter):
-            self._record_latest()
+        """Record the latest colony unless it is recorded already."""
+        c = self._colony
+        if c is not None and not (self.rows and self.rows[-1][0] == c.iteration):
+            self.rows.extend((c.iteration, j, s.home_id, *s.x.tolist())
+                             for j, s in enumerate(c.snails))
 
 
 def write_scatter_csv(out: Path, i: int, recorder: ScatterRecorder,
@@ -385,18 +377,16 @@ def write_scatter_csv(out: Path, i: int, recorder: ScatterRecorder,
 
 
 def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,
-                  finals: list[float], record_files: list[str],
-                  failures: list[dict]) -> Path:
-    path = out / "summary.json"
+                  records: list[dict], failures: list[dict]) -> Path:
     payload = {
         "schema": SUMMARY_SCHEMA,
         "config": cfg.to_dict(),
         "summary": dataclasses.asdict(summary),
-        "finals": [float(v) for v in finals],
-        "record_files": record_files,
+        "finals": [r["final_f"] for r in records],
+        "record_files": [TRIAL_FILE.format(r["trial"]) for r in records],
         "failures": failures,
     }
-    return write_atomic(path, json.dumps(payload, indent=1))
+    return write_atomic(out / "summary.json", json.dumps(payload, indent=1))
 
 
 def read_summary(path) -> dict:
@@ -423,12 +413,13 @@ def write_table_csv(path, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 def run_trial(cfg: CampaignConfig, problem: BoundedProblem, budget: int,
-              i: int) -> tuple | dict:
+              i: int) -> dict:
     """Run trial ``i`` of a campaign and write its files.
 
-    Returns ``(final_f, evals, wall_time, record file name)``, or
-    ``{"trial", "seed", "error"}`` when the objective turned non-finite
-    (no file is written then).  Any other exception propagates.
+    Returns the trial record written to ``trial_NNN.json``
+    (:func:`trial_record`), or ``{"trial", "seed", "error"}`` when the
+    objective turned non-finite (no file is written then).  Any other
+    exception propagates.
     """
     seed = cfg.base_seed + i
     shms_cfg = ShmsConfig(max_evals=budget, seed=seed, **cfg.engine)
@@ -438,13 +429,14 @@ def run_trial(cfg: CampaignConfig, problem: BoundedProblem, budget: int,
     except NonFiniteObjective as exc:
         return {"trial": i, "seed": seed, "error": str(exc)}
     out = Path(cfg.out_dir)
-    name = write_trial_record(out, cfg, i, budget, rec).name
+    record = trial_record(cfg, i, rec)
+    write_trial_record(out, record)
     if cfg.export_trace:
         write_trace_csv(out, i, rec)
     if recorder is not None:
         recorder.flush()
         write_scatter_csv(out, i, recorder, problem.dim)
-    return rec.final_f, rec.evals, rec.wall_time, name
+    return record
 
 
 #: the campaign's trial function; set by _adopt in pool workers only,
@@ -499,29 +491,20 @@ def run_campaign(cfg: CampaignConfig, workers: int = 1) -> CampaignSummary:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    finals: list[float] = []
-    evals: list[int] = []
-    walls: list[float] = []
-    record_files: list[str] = []
+    records: list[dict] = []
     failures: list[dict] = []
-
     trial = functools.partial(run_trial, cfg, problem, budget)
-    for i, result in enumerate(_trial_results(trial, cfg.trials, workers)):
-        if isinstance(result, dict):
-            log.warning("trial %d (seed %d) aborted: %s", i, result["seed"],
-                        result["error"])
-            failures.append(result)
-            continue
-        final_f, n_evals, wall, name = result
-        log.info("trial %d (seed %d): final_f %.10g, %d evals, %.3f s",
-                 i, cfg.base_seed + i, final_f, n_evals, wall)
-        finals.append(final_f)
-        evals.append(n_evals)
-        walls.append(wall)
-        record_files.append(name)
+    for r in _trial_results(trial, cfg.trials, workers):
+        if "error" in r:
+            log.warning("trial %(trial)d (seed %(seed)d) aborted: %(error)s", r)
+            failures.append(r)
+        else:
+            log.info("trial %(trial)d (seed %(seed)d): final_f %(final_f).10g, "
+                     "%(evals)d evals, %(wall_time).3f s", r)
+            records.append(r)
 
-    summary = summarize(cfg, finals, evals, walls)
-    write_summary(out, cfg, summary, finals, record_files, failures)
+    summary = summarize(cfg, records)
+    write_summary(out, cfg, summary, records, failures)
     return summary
 
 
@@ -535,13 +518,8 @@ def load_campaign(summary_path) -> tuple[CampaignConfig, CampaignSummary, dict]:
     payload = read_summary(summary_path)
     cfg = CampaignConfig.from_dict(payload["config"])
     base = Path(summary_path).parent
-    finals, evals, walls = [], [], []
-    for name in payload["record_files"]:
-        rec = read_trial_record(base / name)
-        finals.append(rec["final_f"])
-        evals.append(rec["evals"])
-        walls.append(rec["wall_time"])
-    return cfg, summarize(cfg, finals, evals, walls), payload
+    records = [read_trial_record(base / name) for name in payload["record_files"]]
+    return cfg, summarize(cfg, records), payload
 
 
 def _check_finals(summary_path, payload: dict) -> None:

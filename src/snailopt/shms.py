@@ -65,7 +65,7 @@ __all__ = [
     "trail_following_update",
 ]
 
-#: sentinel love-dart value for exact objective ties with the fecund snail
+#: love-dart saturation threshold: a raw value this large normalizes to 1.0
 LARGE_LD = 1e30
 
 # denominators at or below this magnitude are treated as degenerate
@@ -174,6 +174,7 @@ class ColonyState:
 class RunRecord:
     """Immutable summary of one completed run.
 
+    The fields are in the order of the trial record's keys.
     ``best_trace[0]`` is the best value right after initialization (the
     colony's first assessment) and each subsequent entry is the best
     after one more iteration, so the final objective always equals the
@@ -181,11 +182,12 @@ class RunRecord:
     """
 
     seed: int
-    best_trace: list[float]
-    final_x: np.ndarray
+    max_evals: int
     final_f: float
+    final_x: np.ndarray
     evals: int
     wall_time: float
+    best_trace: list[float]
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +244,7 @@ def love_dart_raw(I: float, f_s: float, f_fecund: float) -> float:
     """Raw love-dart value ``1 / (I * (f_s - f_fecund))``.
 
     Exact ties with the fecund snail (and any quotient that overflows)
-    map to the sentinel ``LARGE_LD`` so the min-max normalization stays
-    well defined.
+    map to ``±LARGE_LD``, which :func:`normalize_ld` saturates to 1.0.
     """
     gap = f_s - f_fecund
     if abs(gap) <= _EPS_DEN:
@@ -254,17 +255,18 @@ def love_dart_raw(I: float, f_s: float, f_fecund: float) -> float:
     return v
 
 
-def normalize_ld(raw) -> np.ndarray:
-    """Min-max normalize raw love darts to [0, 1] within one home.
+def normalize_ld(raw) -> list[float]:
+    """Normalize one home's raw love darts to [0, 1].
 
-    A degenerate range (all values equal) maps everything to 0.5.
+    A value of magnitude ``LARGE_LD`` or more saturates to 1.0; the
+    others are min-max normalized among themselves, all to 0.5 when
+    their range is degenerate.
     """
-    r = np.asarray(raw, dtype=float)
-    lo = float(r.min())
-    hi = float(r.max())
-    if hi - lo <= _EPS_DEN:
-        return np.full(r.shape, 0.5)
-    return (r - lo) / (hi - lo)
+    finite = [r for r in raw if abs(r) < LARGE_LD]
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
+    span = hi - lo
+    return [1.0 if abs(r) >= LARGE_LD else (r - lo) / span if span > _EPS_DEN
+            else 0.5 for r in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +374,11 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
     Homes are processed in id order and their members in stable snail
     order, so a run is fully determined by the seed.  Per home: compute
     fecundity indices, roulette-select the fecund snail, compute and
-    normalize love darts (the fecund snail's tie sentinel is excluded
-    from the min-max range and maps to 1.0, as does any other exact
-    tie), then move every snail except the fecund one.  Emigration
-    moves are always accepted; trail-following moves only if they do
-    not get worse.  Candidates identical to the snail's position — or
-    to the already-evaluated best position, for a non-emigrating snail
-    — are discarded without spending an evaluation.
+    normalize love darts (:func:`normalize_ld`), then move every snail
+    except the fecund one.  Emigration moves are always accepted;
+    trail-following moves only if they do not get worse.  Candidates
+    equal to the snail's position, or (for a non-emigrating snail) to
+    the already-evaluated best position, are discarded unevaluated.
 
     The evaluation budget is checked before every single evaluation:
     hitting it stops the iteration mid-flight, leaving already-accepted
@@ -393,18 +393,13 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
                      for s in members]
         probs = selection_probabilities([s.f for s in members])
         k = roulette_select(probs, rng)
-        fecund = members[k]
+        fecund = members.pop(k)
         fecund.ld_norm = 1.0
-        others = members[:k] + members[k + 1:]
-        if others:
-            del fecundity[k]
-            raws = [love_dart_raw(fi, s.f, fecund.f)
-                    for fi, s in zip(fecundity, others)]
-            finite = [r for r in raws if abs(r) < LARGE_LD]
-            norms = iter(normalize_ld(finite)) if finite else None
-            for s, raw in zip(others, raws):
-                s.ld_norm = 1.0 if abs(raw) >= LARGE_LD else float(next(norms))
-        for s in others:
+        del fecundity[k]
+        raws = [love_dart_raw(fi, s.f, fecund.f) for fi, s in zip(fecundity, members)]
+        for s, ld in zip(members, normalize_ld(raws)):
+            s.ld_norm = ld
+        for s in members:
             if colony.counter.count >= cfg.max_evals:
                 budget_hit = True
                 break
@@ -448,9 +443,10 @@ def run(problem: BoundedProblem, cfg: ShmsConfig, observer=None) -> RunRecord:
     problem : BoundedProblem
     cfg : ShmsConfig
     observer : callable, optional
-        Called as ``observer(colony)`` after initialization and after
-        every iteration.  Must not consume the run's random stream or
-        mutate the colony; intended for trace/scatter exporters.
+        Called as ``observer(colony)`` with the same colony object after
+        initialization and after every iteration; nothing changes it
+        after the last call.  Must not consume the run's random stream
+        or mutate the colony; intended for trace/scatter exporters.
 
     Returns
     -------
@@ -472,9 +468,10 @@ def run(problem: BoundedProblem, cfg: ShmsConfig, observer=None) -> RunRecord:
             observer(colony)
     return RunRecord(
         seed=cfg.seed,
-        best_trace=trace,
-        final_x=colony.global_best.x.copy(),
+        max_evals=cfg.max_evals,
         final_f=colony.global_best.f,
+        final_x=colony.global_best.x.copy(),
         evals=colony.counter.count,
         wall_time=time.perf_counter() - t0,
+        best_trace=trace,
     )

@@ -96,13 +96,20 @@ def test_normalize_ld_examples():
     assert np.allclose(normalize_ld([-0.25, 1.0]), [0.0, 1.0])
     assert np.allclose(normalize_ld([7.0, 7.0, 7.0]), 0.5)
     assert np.allclose(normalize_ld([4.0]), 0.5)
+    # love_dart_raw's tie and overflow values map to 1.0 and stay out of
+    # the others' min-max range
+    assert normalize_ld([LARGE_LD, 0.0, 2.0, -LARGE_LD]) == [1.0, 0.0, 1.0, 1.0]
+    assert normalize_ld([-0.5, LARGE_LD, 1.5, 0.5]) == [0.0, 1.0, 1.0, 0.5]
+    assert normalize_ld([3.0, -LARGE_LD, 3.0]) == [0.5, 1.0, 0.5]
+    assert normalize_ld([LARGE_LD, LARGE_LD]) == [1.0, 1.0]
+    assert normalize_ld([]) == []
 
 
 @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=20))
 def test_normalize_ld_stays_in_unit_interval(raw):
     norm = normalize_ld(raw)
-    assert norm.shape == (len(raw),)
-    assert np.all(norm >= 0.0) and np.all(norm <= 1.0)
+    assert len(norm) == len(raw)
+    assert all(type(v) is float and 0.0 <= v <= 1.0 for v in norm)
     if max(raw) - min(raw) > 1e-30:
         assert norm[int(np.argmin(raw))] == 0.0
         assert norm[int(np.argmax(raw))] == 1.0

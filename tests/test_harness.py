@@ -85,6 +85,14 @@ def test_documented_config_fields_match_the_dataclass():
     assert list(documented) == [f.name for f in dataclasses.fields(CampaignConfig)]
 
 
+def test_documented_trial_fields_match_the_written_record(tmp_path):
+    cfg = small_cfg(tmp_path / "camp", trials=1)
+    run_campaign(cfg)
+    written = json.loads((tmp_path / "camp" / "trial_000.json").read_text())
+    documented = output_schemas()["schemas"][TRIAL_SCHEMA]["fields"]
+    assert list(written) == ["schema", *documented]
+
+
 def test_resolve_problem_checks_dimensions():
     assert resolve_problem(CampaignConfig(problem="sthe1")).dim == 4
     assert resolve_problem(CampaignConfig(problem="sthe1", dim=4)).dim == 4
@@ -296,7 +304,8 @@ def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="disk full"):
-            harness.write_trial_record(tmp_path, cfg, 0, 100, rec)
+            harness.write_trial_record(tmp_path,
+                                       harness.trial_record(cfg, 0, rec))
     assert list(tmp_path.iterdir()) == []
 
     path = harness.write_trace_csv(tmp_path, 0, rec)
@@ -593,22 +602,50 @@ def test_cli_catalog(capsys):
     assert cases == ["sthe1", "sthe2", "sthe3"]
 
 
+#: text of a --config file -> what refusing it must name
+BAD_CONFIGS = {
+    '{"trials": "3"}': "'trials'",
+    '{"engine": {"homes": "3"}}': "'homes'",
+    '{"trials": 2.5}': "'trials'",
+    '{"base_seed": "1"}': "'base_seed'",
+    '{"engine": 3}': "'engine'",
+    "{\n": "job.json: Expecting property name",
+}
+
+
 @pytest.mark.parametrize("flags", [
     ["--problem", "F16", "--homes", "0"],
     ["--problem", "F16", "--max-evals", "10"],
     ["--problem", "F99"],
     ["--problem", "sthe1", "--dim", "5"],
     ["--config", "missing.json"],
+    *(["--config", text] for text in BAD_CONFIGS),
 ])
 def test_cli_refuses_a_bad_campaign_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "camp"
+    named = BAD_CONFIGS.get(flags[-1], "")
+    if named:
+        conf = tmp_path / "job.json"
+        conf.write_text(flags[-1])
+        flags = ["--config", str(conf)]
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", *flags, "--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("snailopt: error: ")
+    assert named in err.splitlines()[-1]
     assert not out.exists()
+
+
+def test_cli_config_file_takes_an_integer_for_a_float(tmp_path):
+    conf = tmp_path / "job.json"
+    conf.write_text(json.dumps({"engine": {"home_switch_prob": 0}}))
+    assert cli.main(["run", "--config", str(conf), "--problem", "F16",
+                     "--trials", "1", "--max-evals", "300",
+                     "--out", str(tmp_path / "camp")]) == 0
+    payload = read_summary(tmp_path / "camp" / "summary.json")
+    assert payload["config"]["engine"] == {"home_switch_prob": 0}
 
 
 def test_cli_does_not_catch_errors_raised_in_a_trial(tmp_path, monkeypatch):
