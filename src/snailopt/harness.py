@@ -14,19 +14,20 @@ Seeds are derived as ``base_seed + trial_index``, so a campaign is
 fully reproducible from its config file alone.  Trials whose objective
 evaluation fails are logged and skipped; the campaign carries on.
 
-Trials share nothing, so :func:`run_trial` runs one of them on its own:
-it runs the engine, writes that trial's files and returns the trial
-record, or a failure dict.  :func:`run_campaign` maps it over the trial
-indices, serially or on a pool of forked workers, summarizes the records
-in trial order and writes ``summary.json`` last; :func:`load_campaign`
-re-derives the summary from the same records on disk.  Forked workers
-inherit the imported modules and the ``(cfg, problem, budget)`` job, so
-nothing is pickled into the pool (a problem may hold a lambda), and the
-artifacts are byte-identical to a serial run apart from the wall-time
-fields.  The library default is serial: callers that wrap ``run`` or
-the writers in-process (counting objective calls, timing layers) would
-see nothing of what a worker does.  The CLI passes the number of CPUs
-the process may use.
+Trials share nothing, so ``run_trial(cfg, i)`` runs one of them from
+its config and index alone: it builds the problem, runs the engine,
+writes that trial's files and returns the trial record, or a failure
+dict.  :func:`run_campaign` maps it over the trial indices, serially or
+on a pool of forked workers, summarizes the records in trial order and
+writes ``summary.json`` last; :func:`load_campaign` re-derives the
+summary from the same records on disk.  Only data crosses the pool:
+the pickled ``(cfg, i)``, and back a record, a failure dict or an
+exception; fork just spares the workers the imports.  The artifacts
+are byte-identical to a serial run apart from the wall-time fields.
+The library default is serial: callers that wrap ``run`` or the
+writers in-process (counting objective calls, timing layers) would see
+nothing of what a worker does.  The CLI passes the number of CPUs the
+process may use.
 
 Every file is written to a temporary name in its target directory and
 then renamed over the target, so an interrupted run leaves whole files
@@ -412,17 +413,19 @@ def write_table_csv(path, rows: list[dict]) -> None:
 # campaign execution
 # ---------------------------------------------------------------------------
 
-def run_trial(cfg: CampaignConfig, problem: BoundedProblem, budget: int,
-              i: int) -> dict:
+def run_trial(cfg: CampaignConfig, i: int) -> dict:
     """Run trial ``i`` of a campaign and write its files.
 
-    Returns the trial record written to ``trial_NNN.json``
-    (:func:`trial_record`), or ``{"trial", "seed", "error"}`` when the
-    objective turned non-finite (no file is written then).  Any other
-    exception propagates.
+    The config and the index are the whole job: the problem and budget
+    come from ``cfg``.  Returns the trial record written to
+    ``trial_NNN.json`` (:func:`trial_record`), or ``{"trial", "seed",
+    "error"}`` when the objective turned non-finite (no file is written
+    then).  Any other exception propagates.
     """
+    problem = resolve_problem(cfg)
     seed = cfg.base_seed + i
-    shms_cfg = ShmsConfig(max_evals=budget, seed=seed, **cfg.engine)
+    shms_cfg = ShmsConfig(max_evals=default_budget(cfg, problem), seed=seed,
+                          **cfg.engine)
     recorder = ScatterRecorder() if cfg.export_scatter else None
     try:
         rec = run(problem, shms_cfg, observer=recorder)
@@ -439,24 +442,11 @@ def run_trial(cfg: CampaignConfig, problem: BoundedProblem, budget: int,
     return record
 
 
-#: the campaign's trial function; set by _adopt in pool workers only,
-#: each of which serves a single campaign
-_worker_trial = None
-
-
-def _adopt(trial) -> None:
-    global _worker_trial
-    _worker_trial = trial
-
-
-def _call_worker_trial(i: int):
-    return _worker_trial(i)
-
-
-def _trial_results(trial, n: int, workers: int):
-    """``trial(i)`` for ``i`` in ``range(n)``, in order, on up to
+def _trial_results(cfg: CampaignConfig, workers: int):
+    """``run_trial(cfg, i)`` for every trial index, in order, on up to
     ``workers`` forked processes (serially where there is no fork)."""
-    workers = min(workers, n)
+    trial = functools.partial(run_trial, cfg)
+    workers = min(workers, cfg.trials)
     if workers > 1:
         import multiprocessing
         try:
@@ -465,16 +455,15 @@ def _trial_results(trial, n: int, workers: int):
             pass
         else:
             from concurrent.futures import ProcessPoolExecutor
-            # fork hands ``trial`` to the workers without pickling it; a
-            # worker that dies raises BrokenProcessPool instead of hanging
-            pool = ProcessPoolExecutor(workers, mp_context=ctx,
-                                       initializer=_adopt, initargs=(trial,))
+            # the job and its result are pickled; a worker that dies
+            # raises BrokenProcessPool instead of hanging
+            pool = ProcessPoolExecutor(workers, mp_context=ctx)
             try:
-                yield from pool.map(_call_worker_trial, range(n))
+                yield from pool.map(trial, range(cfg.trials))
             finally:
                 pool.shutdown(cancel_futures=True)
             return
-    yield from map(trial, range(n))
+    yield from map(trial, range(cfg.trials))
 
 
 def run_campaign(cfg: CampaignConfig, workers: int = 1) -> CampaignSummary:
@@ -483,18 +472,16 @@ def run_campaign(cfg: CampaignConfig, workers: int = 1) -> CampaignSummary:
     Returns the summary (also written to ``summary.json``, last).  A
     trial that raises :class:`NonFiniteObjective` is logged and skipped;
     any other exception propagates (it is a bug, not a data issue).
-    With ``workers > 1`` the trials run on that many forked processes;
-    the artifacts are the same apart from wall times.
+    With ``workers > 1`` the trials run on that many forked processes,
+    each given ``(cfg, i)``; the artifacts are the same apart from wall
+    times.
     """
-    problem = resolve_problem(cfg)
-    budget = default_budget(cfg, problem)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     records: list[dict] = []
     failures: list[dict] = []
-    trial = functools.partial(run_trial, cfg, problem, budget)
-    for r in _trial_results(trial, cfg.trials, workers):
+    for r in _trial_results(cfg, workers):
         if "error" in r:
             log.warning("trial %(trial)d (seed %(seed)d) aborted: %(error)s", r)
             failures.append(r)

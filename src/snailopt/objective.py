@@ -29,21 +29,9 @@ __all__ = [
 
 
 class NonFiniteObjective(RuntimeError):
-    """Raised when an objective returns NaN or +/-inf inside its box.
-
-    The offending input vector is kept on the exception (``.x``) so a
-    failed run can report exactly where the objective broke its
-    contract.
-    """
-
-    def __init__(self, name: str, x: np.ndarray, value: float):
-        super().__init__(
-            f"objective {name!r} returned non-finite value {value!r} "
-            f"at x={np.asarray(x).tolist()}"
-        )
-        self.name = name
-        self.x = np.array(x, dtype=float, copy=True)
-        self.value = value
+    """Raised when an objective returns NaN or +/-inf inside its box.  It
+    holds only its message, which names the objective, the value and the
+    input vector, so it pickles like any ``RuntimeError``."""
 
 
 @dataclass(frozen=True)
@@ -108,5 +96,7 @@ def evaluate(problem: BoundedProblem, x: np.ndarray, counter: EvalCounter) -> fl
     value = float(problem.func(np.asarray(x, dtype=float)))
     counter.count += 1
     if not math.isfinite(value):
-        raise NonFiniteObjective(problem.name, x, value)
+        raise NonFiniteObjective(
+            f"objective {problem.name!r} returned non-finite value {value!r} "
+            f"at x={np.asarray(x).tolist()}")
     return value

@@ -114,16 +114,16 @@ class ShmsConfig:
             raise ValueError("homes must be >= 1")
         if self.snails_per_home < 2:
             raise ValueError("snails_per_home must be >= 2")
-        if not (0.0 < self.neighborhood_fraction):
-            raise ValueError("neighborhood_fraction must be positive")
+        if not (0.0 < self.neighborhood_fraction < math.inf):
+            raise ValueError("neighborhood_fraction must be positive and finite")
         if not (0.0 <= self.home_switch_prob <= 1.0):
             raise ValueError("home_switch_prob must be in [0, 1]")
         if self.max_evals < self.homes * self.snails_per_home:
             raise ValueError("max_evals must cover at least the initial population")
         if self.stagnation_window < 1:
             raise ValueError("stagnation_window must be >= 1")
-        if self.stagnation_tol < 0.0:
-            raise ValueError("stagnation_tol must be >= 0")
+        if not (0.0 <= self.stagnation_tol < math.inf):
+            raise ValueError("stagnation_tol must be >= 0 and finite")
 
 
 @dataclass
@@ -394,7 +394,6 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
         probs = selection_probabilities([s.f for s in members])
         k = roulette_select(probs, rng)
         fecund = members.pop(k)
-        fecund.ld_norm = 1.0
         del fecundity[k]
         raws = [love_dart_raw(fi, s.f, fecund.f) for fi, s in zip(fecundity, members)]
         for s, ld in zip(members, normalize_ld(raws)):

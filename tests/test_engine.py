@@ -332,6 +332,10 @@ def test_snails_start_within_c_of_their_anchor():
     {"homes": 5, "snails_per_home": 10, "max_evals": 49},
     {"stagnation_window": 0},
     {"stagnation_tol": -1e-9},
+    {"neighborhood_fraction": float("inf")},
+    {"neighborhood_fraction": float("nan")},
+    {"stagnation_tol": float("inf")},
+    {"stagnation_tol": float("nan")},
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):

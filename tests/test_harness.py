@@ -1,11 +1,13 @@
 """Campaign harness tests: persistence, reproducibility, reports, CLI."""
 
 import dataclasses
+import functools
 import json
 import logging
 import math
 import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -27,7 +29,9 @@ from snailopt.harness import (BENCHMARK_BUDGET_LARGE, BENCHMARK_BUDGET_SMALL,
                               read_summary, read_trace_csv,
                               read_trial_record, resolve_problem,
                               run_campaign)
-from snailopt.objective import BoundedProblem
+from snailopt.objective import (BoundedProblem, EvalCounter, NonFiniteObjective,
+                                evaluate)
+from snailopt.sthe import DomainError, evaluate_design, make_case
 from table_io import read_table_csv
 
 
@@ -278,6 +282,38 @@ def test_a_bug_in_a_worker_propagates(tmp_path, monkeypatch):
     with pytest.raises(ZeroDivisionError, match="objective bug"):
         run_campaign(cfg, workers=2)
     assert not (tmp_path / "camp" / "summary.json").exists()
+
+
+def test_the_package_exceptions_pickle():
+    # a pool pickles what a worker raises back to the parent
+    nan = BoundedProblem(name="nan", dim=2, lower=np.full(2, -1.0),
+                         upper=np.full(2, 1.0), func=lambda x: float("nan"))
+    with pytest.raises(NonFiniteObjective) as non_finite:
+        evaluate(nan, np.array([0.5, -0.25]), EvalCounter())
+    assert str(non_finite.value) == \
+        "objective 'nan' returned non-finite value nan at x=[0.5, -0.25]"
+    with pytest.raises(DomainError) as domain:
+        evaluate_design(make_case(1), np.zeros(4))
+    for exc in (non_finite.value, domain.value):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+
+
+def test_a_trial_runs_from_its_pickled_config_and_index(tmp_path):
+    cfg = small_cfg(tmp_path / "camp", trials=3)
+    run_campaign(cfg)
+    alone = dataclasses.replace(cfg, out_dir=str(tmp_path / "alone"))
+    (tmp_path / "alone").mkdir()
+    job = pickle.loads(pickle.dumps(functools.partial(harness.run_trial, alone)))
+    record = job(1)
+    assert record == read_trial_record(tmp_path / "alone" / "trial_001.json")
+    assert sorted(p.name for p in (tmp_path / "alone").iterdir()) == \
+        ["trace_001.csv", "trial_001.json"]
+    campaign = read_trial_record(tmp_path / "camp" / "trial_001.json")
+    assert {**record, "wall_time": 0} == {**campaign, "wall_time": 0}
+    assert (tmp_path / "alone" / "trace_001.csv").read_bytes() == \
+        (tmp_path / "camp" / "trace_001.csv").read_bytes()
 
 
 def test_progress_is_logged_per_trial_in_order(tmp_path, caplog):
@@ -610,6 +646,7 @@ BAD_CONFIGS = {
     '{"base_seed": "1"}': "'base_seed'",
     '{"engine": 3}': "'engine'",
     "{\n": "job.json: Expecting property name",
+    '{"engine": {"stagnation_tol": NaN}}': "stagnation_tol",
 }
 
 
@@ -620,6 +657,7 @@ BAD_CONFIGS = {
     ["--problem", "sthe1", "--dim", "5"],
     ["--config", "missing.json"],
     *(["--config", text] for text in BAD_CONFIGS),
+    ["--problem", "F16", "--neighborhood-frac", "inf"],
 ])
 def test_cli_refuses_a_bad_campaign_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "camp"
