@@ -185,6 +185,7 @@ CORRECTIONS = [
 
 
 def build() -> dict:
+    # the tables keep MEANS's order, which is the order report writes them in
     tables = {}
     for key, rows in MEANS.items():
         problems = F1_13 if key != "fixed" else F14_23

@@ -3,9 +3,10 @@
 The suite is the standard 23-function set used throughout the
 metaheuristics literature: seven unimodal functions (F1-F7), six
 scalable multimodal functions (F8-F13) and ten fixed-dimension
-multimodal functions (F14-F23).  Each entry records its search box,
-its global minimum value and a minimizer, so tests can verify the
-implementations directly against the catalog.
+multimodal functions (F14-F23); F1, F4, F6, F7, F8 and F9 are
+separable.  Each entry records its search box, its global minimum
+value and a minimizer, so tests can verify the implementations
+directly against the catalog.
 
 Notes on the catalog values
 ---------------------------
@@ -184,13 +185,6 @@ _H3_P = 1e-4 * np.array([[3689.0, 1170.0, 2673.0],
                          [4699.0, 4387.0, 7470.0],
                          [1091.0, 8732.0, 5547.0],
                          [381.0, 5743.0, 8828.0]])
-
-
-def _hartman3(x):
-    inner = np.sum(_H3_A * (x - _H3_P) ** 2, axis=1)
-    return float(-np.sum(_H_C * np.exp(-inner)))
-
-
 _H6_A = np.array([[10.0, 3.0, 17.0, 3.5, 1.7, 8.0],
                   [0.05, 10.0, 17.0, 0.1, 8.0, 14.0],
                   [3.0, 3.5, 1.7, 10.0, 17.0, 8.0],
@@ -201,9 +195,12 @@ _H6_P = 1e-4 * np.array([[1312.0, 1696.0, 5569.0, 124.0, 8283.0, 5886.0],
                          [4047.0, 8828.0, 8732.0, 5743.0, 1091.0, 381.0]])
 
 
-def _hartman6(x):
-    inner = np.sum(_H6_A * (x - _H6_P) ** 2, axis=1)
-    return float(-np.sum(_H_C * np.exp(-inner)))
+def _hartman(a: np.ndarray, p: np.ndarray) -> Callable[[np.ndarray], float]:
+    def f(x):
+        inner = np.sum(a * (x - p) ** 2, axis=1)
+        return float(-np.sum(_H_C * np.exp(-inner)))
+
+    return f
 
 
 _SHEKEL_A = np.array([[4.0, 4.0, 4.0, 4.0],
@@ -239,75 +236,68 @@ class BenchmarkSpec:
     """Static description of one test function.
 
     ``x_min`` is one global minimizer (several functions have more by
-    symmetry).  For scalable functions it is a per-coordinate value
-    broadcast to the requested dimension; for fixed-dimension functions
-    it is the full vector.  ``f_min_per_dim`` marks minima that scale
-    linearly with the dimension (only F8).
+    symmetry): for scalable functions a per-coordinate value broadcast
+    to the requested dimension, for fixed-dimension functions the full
+    vector.  ``f_min_per_dim`` marks minima that scale linearly with
+    the dimension (only F8).
     """
 
     fid: str
     name: str
-    kind: str  # US / UN / MS / MN / FM
     fixed_dim: int | None  # None => scalable (any dim >= 2)
     lower: float
     upper: float
     f_min: float
-    f_min_per_dim: bool
-    x_min_coord: float | None  # scalable: broadcast coordinate
-    x_min_vector: tuple | None  # fixed-dim: full minimizer
+    x_min: float | tuple  # scalable: broadcast coordinate; fixed-dim: vector
     func: Callable[[np.ndarray], float]
-
-
-def _spec(fid, name, kind, fixed_dim, lo, hi, f_min, func,
-          x_coord=None, x_vec=None, per_dim=False):
-    return BenchmarkSpec(fid, name, kind, fixed_dim, float(lo), float(hi),
-                         float(f_min), per_dim, x_coord,
-                         tuple(x_vec) if x_vec is not None else None, func)
+    f_min_per_dim: bool = False
 
 
 CATALOG: dict[str, BenchmarkSpec] = {s.fid: s for s in [
-    _spec("F1", "Sphere", "US", None, -100, 100, 0.0, _sphere, x_coord=0.0),
-    _spec("F2", "Schwefel 2.22", "UN", None, -10, 10, 0.0, _schwefel_2_22, x_coord=0.0),
-    _spec("F3", "Schwefel 1.2", "UN", None, -100, 100, 0.0, _schwefel_1_2, x_coord=0.0),
-    _spec("F4", "Schwefel 2.21", "US", None, -100, 100, 0.0, _schwefel_2_21, x_coord=0.0),
-    _spec("F5", "Rosenbrock", "UN", None, -30, 30, 0.0, _rosenbrock, x_coord=1.0),
-    _spec("F6", "Step", "US", None, -100, 100, 0.0, _step, x_coord=0.0),
+    BenchmarkSpec("F1", "Sphere", None, -100.0, 100.0, 0.0, 0.0, _sphere),
+    BenchmarkSpec("F2", "Schwefel 2.22", None, -10.0, 10.0, 0.0, 0.0, _schwefel_2_22),
+    BenchmarkSpec("F3", "Schwefel 1.2", None, -100.0, 100.0, 0.0, 0.0, _schwefel_1_2),
+    BenchmarkSpec("F4", "Schwefel 2.21", None, -100.0, 100.0, 0.0, 0.0, _schwefel_2_21),
+    BenchmarkSpec("F5", "Rosenbrock", None, -30.0, 30.0, 0.0, 1.0, _rosenbrock),
+    BenchmarkSpec("F6", "Step", None, -100.0, 100.0, 0.0, 0.0, _step),
     # Quartic's customary box is [-1.28, 1.28]; see module docstring for noise.
-    _spec("F7", "Quartic", "US", None, -1.28, 1.28, 0.0, _quartic_core, x_coord=0.0),
-    _spec("F8", "Schwefel", "MS", None, -500, 500, -418.9828872724336, _schwefel,
-          x_coord=420.9687474737558, per_dim=True),
-    _spec("F9", "Rastrigin", "MS", None, -5.12, 5.12, 0.0, _rastrigin, x_coord=0.0),
-    _spec("F10", "Ackley", "MN", None, -32, 32, 0.0, _ackley, x_coord=0.0),
-    _spec("F11", "Griewank", "MN", None, -600, 600, 0.0, _griewank, x_coord=0.0),
-    _spec("F12", "Penalized", "MN", None, -50, 50, 0.0, _penalized, x_coord=-1.0),
-    _spec("F13", "Penalized 2", "MN", None, -50, 50, 0.0, _penalized2, x_coord=1.0),
-    _spec("F14", "Foxholes", "FM", 2, -65, 65, 0.9980038377944498, _foxholes,
-          x_vec=(-31.97833357139726, -31.978336789414364)),
-    _spec("F15", "Kowalik", "FM", 4, -5, 5, 3.074859878056051e-04, _kowalik,
-          x_vec=(0.19283345304274813, 0.19083624027597035,
-                 0.12311729907598003, 0.13576599033984466)),
-    _spec("F16", "Six-Hump Camel", "FM", 2, -5, 5, -1.0316284534898774, _camel6,
-          x_vec=(0.08984200893527233, -0.712656403019058)),
-    _spec("F17", "Branin", "FM", 2, -5, 5, 0.39788735772973816, _branin,
-          x_vec=(math.pi, 2.275)),
-    _spec("F18", "Goldstein-Price", "FM", 2, -2, 2, 3.0, _goldstein_price,
-          x_vec=(0.0, -1.0)),
+    BenchmarkSpec("F7", "Quartic", None, -1.28, 1.28, 0.0, 0.0, _quartic_core),
+    BenchmarkSpec("F8", "Schwefel", None, -500.0, 500.0, -418.9828872724336,
+                  420.9687474737558, _schwefel, f_min_per_dim=True),
+    BenchmarkSpec("F9", "Rastrigin", None, -5.12, 5.12, 0.0, 0.0, _rastrigin),
+    BenchmarkSpec("F10", "Ackley", None, -32.0, 32.0, 0.0, 0.0, _ackley),
+    BenchmarkSpec("F11", "Griewank", None, -600.0, 600.0, 0.0, 0.0, _griewank),
+    BenchmarkSpec("F12", "Penalized", None, -50.0, 50.0, 0.0, -1.0, _penalized),
+    BenchmarkSpec("F13", "Penalized 2", None, -50.0, 50.0, 0.0, 1.0, _penalized2),
+    BenchmarkSpec("F14", "Foxholes", 2, -65.0, 65.0, 0.9980038377944498,
+                  (-31.97833357139726, -31.978336789414364), _foxholes),
+    BenchmarkSpec("F15", "Kowalik", 4, -5.0, 5.0, 3.074859878056051e-04,
+                  (0.19283345304274813, 0.19083624027597035,
+                   0.12311729907598003, 0.13576599033984466), _kowalik),
+    BenchmarkSpec("F16", "Six-Hump Camel", 2, -5.0, 5.0, -1.0316284534898774,
+                  (0.08984200893527233, -0.712656403019058), _camel6),
+    BenchmarkSpec("F17", "Branin", 2, -5.0, 5.0, 0.39788735772973816,
+                  (math.pi, 2.275), _branin),
+    BenchmarkSpec("F18", "Goldstein-Price", 2, -2.0, 2.0, 3.0, (0.0, -1.0),
+                  _goldstein_price),
     # Hartman functions live on the unit cube in every primary source we
     # could check; minima printed elsewhere agree only on that domain.
-    _spec("F19", "Hartman 3", "FM", 3, 0, 1, -3.862779787332663, _hartman3,
-          x_vec=(0.11458886908541062, 0.5556488928322367, 0.8525469854282611)),
-    _spec("F20", "Hartman 6", "FM", 6, 0, 1, -3.3223680114155147, _hartman6,
-          x_vec=(0.20168950909365746, 0.15001069354111374, 0.4768739729250998,
-                 0.2753324275220782, 0.3116516172395686, 0.6573005345536702)),
-    _spec("F21", "Shekel 5", "FM", 4, 0, 10, -10.153199679058229, _shekel(5),
-          x_vec=(4.000037152376549, 4.000133278657566,
-                 4.000037151057555, 4.000133277090425)),
-    _spec("F22", "Shekel 7", "FM", 4, 0, 10, -10.402940566818662, _shekel(7),
-          x_vec=(4.000572914277084, 4.000689366040889,
-                 3.9994897107938447, 3.9996061600067923)),
-    _spec("F23", "Shekel 10", "FM", 4, 0, 10, -10.536409816692045, _shekel(10),
-          x_vec=(4.000746530253313, 4.000592936779709,
-                 3.9996633957714787, 3.9995097993299975)),
+    BenchmarkSpec("F19", "Hartman 3", 3, 0.0, 1.0, -3.862779787332663,
+                  (0.11458886908541062, 0.5556488928322367, 0.8525469854282611),
+                  _hartman(_H3_A, _H3_P)),
+    BenchmarkSpec("F20", "Hartman 6", 6, 0.0, 1.0, -3.3223680114155147,
+                  (0.20168950909365746, 0.15001069354111374, 0.4768739729250998,
+                   0.2753324275220782, 0.3116516172395686, 0.6573005345536702),
+                  _hartman(_H6_A, _H6_P)),
+    BenchmarkSpec("F21", "Shekel 5", 4, 0.0, 10.0, -10.153199679058229,
+                  (4.000037152376549, 4.000133278657566,
+                   4.000037151057555, 4.000133277090425), _shekel(5)),
+    BenchmarkSpec("F22", "Shekel 7", 4, 0.0, 10.0, -10.402940566818662,
+                  (4.000572914277084, 4.000689366040889,
+                   3.9994897107938447, 3.9996061600067923), _shekel(7)),
+    BenchmarkSpec("F23", "Shekel 10", 4, 0.0, 10.0, -10.536409816692045,
+                  (4.000746530253313, 4.000592936779709,
+                   3.9996633957714787, 3.9995097993299975), _shekel(10)),
 ]}
 
 
@@ -350,10 +340,7 @@ def make_benchmark(fid: str, dim: int | None = None,
     n = _resolve_dim(spec, dim)
     func = spec.func
     if fid == "F7" and noise_rng is not None:
-        rng = noise_rng
-        base = spec.func
-
-        def func(x, _base=base, _rng=rng):
+        def func(x, _base=spec.func, _rng=noise_rng):
             return _base(x) + float(_rng.uniform())
 
     return BoundedProblem(
@@ -366,13 +353,12 @@ def make_benchmark(fid: str, dim: int | None = None,
 
 
 def known_optimum(fid: str, dim: int | None = None) -> tuple[float, np.ndarray]:
-    """Return ``(f_min, x_min)`` for catalog entry ``fid`` at ``dim``."""
+    """Return ``(f_min, x_min)`` for catalog entry ``fid`` at ``dim``; a
+    scalable entry's ``x_min`` coordinate is broadcast to ``dim``."""
     spec = CATALOG[fid]
     n = _resolve_dim(spec, dim)
-    if spec.x_min_vector is not None:
-        x = np.array(spec.x_min_vector, dtype=float)
-    else:
-        x = np.full(n, spec.x_min_coord, dtype=float)
+    x = (np.full(n, spec.x_min, dtype=float) if spec.fixed_dim is None
+         else np.array(spec.x_min, dtype=float))
     f = spec.f_min * n if spec.f_min_per_dim else spec.f_min
     return f, x
 

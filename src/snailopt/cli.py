@@ -141,10 +141,9 @@ def cmd_catalog() -> int:
         print(f"  {spec.fid:<4} {spec.name:<22} {dims:<18} {box:<16} "
               f"{spec.f_min:g}{note}")
     print("\nexchanger sizing cases:")
-    for cid in (1, 2, 3):
-        case = make_case(cid)
-        print(f"  sthe{cid}  {case.label:<40} "
-              f"default budget {STHE_BUDGETS[cid]} evals")
+    for cid, budget in STHE_BUDGETS.items():
+        print(f"  sthe{cid}  {make_case(cid).label:<40} "
+              f"default budget {budget} evals")
     return 0
 
 

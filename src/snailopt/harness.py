@@ -58,12 +58,12 @@ import logging
 import os
 import typing
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .benchmarks import CATALOG, make_benchmark
+from .data import load
 from .objective import BoundedProblem, NonFiniteObjective
 from .shms import RunRecord, ShmsConfig, run
 from .stats import friedman_ranks, wilcoxon_signed_rank
@@ -150,15 +150,16 @@ class CampaignConfig:
         _check_types(CampaignConfig, vars(self), "config key")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not (self.problem in CATALOG or self.problem in ("sthe1", "sthe2", "sthe3")):
+        if not (self.problem in CATALOG
+                or self.problem in {f"sthe{k}" for k in STHE_BUDGETS}):
             raise ValueError(f"unknown problem {self.problem!r}")
         bad = set(self.engine) - set(ENGINE_KEYS)
         if bad:
             raise ValueError(f"unknown engine override(s): {sorted(bad)}")
         _check_types(ShmsConfig, self.engine, "engine key")
-        # the problem checks the dimension, the engine its values and budget
+        # the problem checks the dimension, the engine its values (budget, seed)
         ShmsConfig(max_evals=default_budget(self, resolve_problem(self)),
-                   **self.engine)
+                   seed=self.base_seed, **self.engine)
 
     @property
     def is_sthe(self) -> bool:
@@ -432,6 +433,7 @@ def run_trial(cfg: CampaignConfig, i: int) -> dict:
     except NonFiniteObjective as exc:
         return {"trial": i, "seed": seed, "error": str(exc)}
     out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     record = trial_record(cfg, i, rec)
     write_trial_record(out, record)
     if cfg.export_trace:
@@ -524,24 +526,17 @@ def _check_finals(summary_path, payload: dict) -> None:
 # reports
 # ---------------------------------------------------------------------------
 
-def _load_published_means() -> dict:
-    ref = resources.files("snailopt.data").joinpath("published_means.json")
-    return json.loads(ref.read_text())
-
-
 def published_friedman_rows() -> list[dict]:
     """Friedman mean ranks recomputed from the bundled published means.
 
-    One block per published table: the four scalable-function
-    dimensions plus the fixed-dimension set (keyed ``"fixed"``).
+    One block per published table, in the file's order: the four
+    scalable-function dimensions, then the fixed set (``"fixed"``).
     """
-    data = _load_published_means()
-    labels = data["algorithms"]
-    order = {"dim30": 0, "dim100": 1, "dim500": 2, "dim1000": 3, "fixed": 4}
+    data = load("published_means.json")
     rows = []
-    for key in sorted(data["tables"], key=lambda k: order.get(k, 99)):
-        table = data["tables"][key]
-        res = friedman_ranks(np.asarray(table["means"], dtype=float), labels)
+    for key, table in data["tables"].items():
+        res = friedman_ranks(np.asarray(table["means"], dtype=float),
+                             data["algorithms"])
         for lab, mr, rk in zip(res.labels, res.mean_ranks, res.ordering):
             rows.append({"table": key, "algorithm": lab,
                          "mean_rank": float(mr), "rank": int(rk)})
@@ -653,5 +648,4 @@ def generate_reports(results_dir) -> list[Path]:
 
 def output_schemas() -> dict:
     """The bundled description of every artifact's columns/fields."""
-    ref = resources.files("snailopt.data").joinpath("output_schemas.json")
-    return json.loads(ref.read_text())
+    return load("output_schemas.json")

@@ -97,7 +97,7 @@ class ShmsConfig:
     stagnation_tol : float
         Minimum improvement considered progress.
     seed : int
-        Seed for the run's random stream.
+        Seed for the run's random stream (>= 0).
     """
 
     homes: int = 3
@@ -124,6 +124,8 @@ class ShmsConfig:
             raise ValueError("stagnation_window must be >= 1")
         if not (0.0 <= self.stagnation_tol < math.inf):
             raise ValueError("stagnation_tol must be >= 0 and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -47,15 +47,14 @@ only reproducible with them):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
 
+from .data import load
 from .objective import BoundedProblem
 
 __all__ = [
@@ -515,8 +514,7 @@ def published_tables() -> dict:
     table, our solver's campaign statistics, and the list of printed
     cells that contradict their own row/column.
     """
-    ref = resources.files("snailopt.data").joinpath("sthe_published.json")
-    return json.loads(ref.read_text())
+    return load("sthe_published.json")
 
 
 def closeness_percent(reference: float, candidate: float) -> float:

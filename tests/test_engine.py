@@ -336,6 +336,7 @@ def test_snails_start_within_c_of_their_anchor():
     {"neighborhood_fraction": float("nan")},
     {"stagnation_tol": float("inf")},
     {"stagnation_tol": float("nan")},
+    {"seed": -1},
 ])
 def test_config_rejects_invalid_values(kwargs):
     with pytest.raises(ValueError):

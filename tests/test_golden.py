@@ -1,8 +1,9 @@
 """Golden trajectories: bitwise pins on a few seeded runs.
 
 Each pin is the SHA-256 of a run's ``best_trace``, ``final_x`` and
-``evals``, of the bytes of a scatter CSV, or of the exchanger objective
-over a seeded set of designs.  A refactor that claims to
+``evals``, of the bytes of a scatter CSV, of the exchanger objective
+over a seeded set of designs, or of every catalog objective over seeded
+points with its recorded optimum and bounds.  A refactor that claims to
 keep behaviour must keep every pin; a change that alters trajectories
 on purpose must update them and say why in CHANGES.md.  The pins hold
 for one interpreter/numpy/CPU combination: the objectives' ufuncs may
@@ -15,6 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
+from snailopt.benchmarks import CATALOG, known_optimum, make_benchmark
 from snailopt.harness import (CampaignConfig, default_budget, resolve_problem,
                               run_campaign)
 from snailopt.shms import ShmsConfig, run
@@ -93,3 +95,36 @@ def test_sthe_total_cost_is_pinned():
         costs = [total_cost(case, d) for d in designs]
         h.update(np.asarray(costs, dtype="<f8").tobytes())
     assert h.hexdigest() == STHE_COST_PIN
+
+
+def catalog_cases():
+    """F1-F13 at d = 2, 30 and 500; F14-F23 at their fixed dimensions."""
+    for fid, spec in CATALOG.items():
+        for dim in ((2, 30, 500) if spec.fixed_dim is None else (spec.fixed_dim,)):
+            yield fid, dim
+
+
+def catalog_digest() -> str:
+    """Every objective (F7 noise-free) at 200 seeded in-box points plus
+    both corners, with each entry's known optimum and bounds."""
+    h = hashlib.sha256()
+    for fid, dim in catalog_cases():
+        problem = make_benchmark(fid, dim)
+        rng = np.random.default_rng(2026)
+        points = problem.lower + rng.random((200, dim)) * (problem.upper - problem.lower)
+        points = np.vstack([points, problem.lower, problem.upper])
+        values = [problem.func(x) for x in points]
+        f_min, x_min = known_optimum(fid, dim)
+        h.update(f"{fid}-d{dim}".encode())
+        h.update(np.asarray(values, dtype="<f8").tobytes())
+        h.update(np.asarray([f_min], dtype="<f8").tobytes())
+        h.update(np.asarray(x_min, dtype="<f8").tobytes())
+        h.update(np.concatenate([problem.lower, problem.upper]).astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+CATALOG_PIN = "d10662e78d07b92c0f465a52108ef7314a09f2dac26d7b5bf318d47981186bd1"
+
+
+def test_catalog_values_are_pinned():
+    assert catalog_digest() == CATALOG_PIN

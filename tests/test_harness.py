@@ -316,6 +316,12 @@ def test_a_trial_runs_from_its_pickled_config_and_index(tmp_path):
         (tmp_path / "camp" / "trace_001.csv").read_bytes()
 
 
+def test_a_lone_trial_creates_its_directory(tmp_path):
+    out = tmp_path / "missing" / "nested"
+    record = harness.run_trial(small_cfg(out, trials=1), 0)
+    assert record == read_trial_record(out / "trial_000.json")
+
+
 def test_progress_is_logged_per_trial_in_order(tmp_path, caplog):
     cfg = small_cfg(tmp_path / "camp", trials=3)
     with caplog.at_level(logging.INFO, logger="snailopt.harness"):
@@ -658,6 +664,7 @@ BAD_CONFIGS = {
     ["--config", "missing.json"],
     *(["--config", text] for text in BAD_CONFIGS),
     ["--problem", "F16", "--neighborhood-frac", "inf"],
+    ["--problem", "F16", "--seed", "-1"],
 ])
 def test_cli_refuses_a_bad_campaign_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "camp"
