@@ -7,7 +7,8 @@ its trials run in parallel on the CPUs the process may use
 config that does not construct (a bad value or config file) is a usage
 error: one ``snailopt: error: …`` line, exit status 2, nothing written.
 ``report`` builds the statistics artifacts from a directory of
-campaigns.  ``catalog`` lists the solvable problems.
+campaigns, and refuses one that does not exist the same way.
+``catalog`` lists the solvable problems.
 
 Examples
 --------
@@ -155,7 +156,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     if args.command == "report":
-        return cmd_report(args)
+        try:
+            return cmd_report(args)
+        except NotADirectoryError as exc:  # a mistyped --in writes nothing
+            parser.error(str(exc))
     if args.command == "catalog":
         return cmd_catalog()
     # a bad flag value or config file is a usage error, refused before

@@ -549,10 +549,12 @@ def generate_reports(results_dir) -> list[Path]:
     Always emits ``friedman_published.csv`` (it depends only on bundled
     data) and ``report.txt``; adds ``wilcoxon_pairwise.csv`` when at
     least two campaigns share a problem and ``closeness_sthe.csv`` when
-    exchanger campaigns exist.  Returns the written paths.
+    exchanger campaigns exist.  Returns the written paths.  Raises
+    ``NotADirectoryError`` when ``results_dir`` is not a directory.
     """
     root = Path(results_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    if not root.is_dir():
+        raise NotADirectoryError(f"{root} is not a directory of results")
     written: list[Path] = []
     notices: list[str] = []
 

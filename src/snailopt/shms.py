@@ -35,13 +35,21 @@ has stopped improving.
 
 All randomness flows through a single ``numpy.random.Generator`` seeded
 from the config, so runs are bit-reproducible.
+
+On a home's ten-odd values numpy's per-call overhead outweighs the
+arithmetic, so mating runs on Python floats, and so do candidate moves
+in up to ``FLOAT_MOVE_DIM`` dimensions: every fixed-dimension function
+and exchanger case (numpy wins from d of about 15-20).  Both repeat
+numpy's operations in numpy's order, so trajectories keep their bits.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,6 +78,9 @@ LARGE_LD = 1e30
 
 # denominators at or below this magnitude are treated as degenerate
 _EPS_DEN = 1e-30
+
+#: largest dimension whose candidate moves run on Python floats
+FLOAT_MOVE_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -213,7 +224,24 @@ def fecundity_index(f0: float, f1: float, f2: float, rng: np.random.Generator) -
     return float(rng.random())
 
 
-def selection_probabilities(values) -> np.ndarray:
+def _pairwise_sum(v: list[float]) -> float:
+    """``float(np.sum(v))`` for a list: numpy's float64 summation order."""
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+    total, end = 0.0, n - n % 8
+    if end:  # eight running sums, then a tree, then the tail
+        r = v[:8]
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, v[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in v[end:]:
+        total += x
+    return total
+
+
+def selection_probabilities(values) -> list[float]:
     """Mate-selection probabilities, inversely proportional to objective.
 
     The weights are ``1 / g_s`` where ``g_s`` is the objective shifted
@@ -225,21 +253,21 @@ def selection_probabilities(values) -> np.ndarray:
     and positive.  Either way the ordering is preserved: lower
     objective, strictly higher probability.
     """
-    f = np.asarray(values, dtype=float)
-    if f.ndim != 1 or f.size == 0:
-        raise ValueError("values must be a non-empty 1-D array")
-    m = float(f.min())
-    g = f - min(m, 0.0) + 1e-12 * (1.0 + abs(m))
-    w = 1.0 / g
-    return w / w.sum()
+    try:
+        f = [float(v) for v in values]
+        m = min(f)
+    except (TypeError, ValueError):
+        raise ValueError("values must be a non-empty 1-D sequence of numbers") from None
+    shift, eps = min(m, 0.0), 1e-12 * (1.0 + abs(m))
+    w = [1.0 / (v - shift + eps) for v in f]
+    total = _pairwise_sum(w)
+    return [v / total for v in w]
 
 
 def roulette_select(probabilities, rng: np.random.Generator) -> int:
     """Sample one index via cumulative-sum inversion of a single uniform."""
-    p = np.asarray(probabilities, dtype=float)
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    return min(idx, p.size - 1)
+    cum = list(accumulate(probabilities))
+    return min(bisect_right(cum, rng.random()), len(cum) - 1)
 
 
 def love_dart_raw(I: float, f_s: float, f_fecund: float) -> float:
@@ -357,16 +385,41 @@ def trail_following_update(snail: SnailState, colony: ColonyState,
     y *= u
     y += best
     if switch:
-        k = int(rng.integers(cfg.homes - 1))
-        if k >= snail.home_id:
-            k += 1
-        snail.home_id = k
-        anchor = colony.home_anchor[k].x
-        d = int(rng.integers(problem.dim))
-        y[d] = anchor[d] + colony.c[d] * (2.0 * rng.random() - 1.0)
+        d, y[d] = _emigrate(snail, colony, cfg, rng)
     # maximum-then-minimum is what np.clip computes, without its wrapper
     np.maximum(y, problem.lower, out=y)
     return np.minimum(y, problem.upper, out=y)
+
+
+def _emigrate(snail: SnailState, colony: ColonyState, cfg: ShmsConfig,
+              rng: np.random.Generator) -> tuple[int, float]:
+    """Move ``snail`` to another home; return a coordinate and its redraw there."""
+    k = int(rng.integers(cfg.homes - 1))
+    if k >= snail.home_id:
+        k += 1
+    snail.home_id = k
+    d = int(rng.integers(colony.c.size))
+    return d, float(colony.home_anchor[k].x[d] + colony.c[d] * (2.0 * rng.random() - 1.0))
+
+
+def _trail_floats(snail: SnailState, x: list[float], best: list[float],
+                  lower: list[float], upper: list[float], colony: ColonyState,
+                  cfg: ShmsConfig, rng: np.random.Generator) -> list[float]:
+    """:func:`trail_following_update` on lists of floats: the same draws
+    and operations, so the same bits (returning ``best`` itself for its
+    copy).  Like np.maximum/np.minimum, the clip keeps the bound on a tie."""
+    r = rng.random(len(x) + 1).tolist()
+    switch = r[0] < cfg.home_switch_prob and cfg.homes > 1
+    ld = snail.ld_norm
+    if not switch and ld == 0.0:
+        return best
+    # one pass: the trail draw, then the clip (maximum, then minimum)
+    y = [(v if v < hi else hi) if (v := abs(a - b) * ld * (2.0 * u - 1.0) + b) > lo else lo
+         for a, b, u, lo, hi in zip(x, best, r[1:], lower, upper)]
+    if switch:
+        d, v = _emigrate(snail, colony, cfg, rng)
+        y[d] = (v if v < upper[d] else upper[d]) if v > lower[d] else lower[d]
+    return y
 
 
 def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
@@ -387,6 +440,10 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
     moves in place.
     """
     budget_hit = False
+    floats = problem.dim <= FLOAT_MOVE_DIM
+    if floats:
+        lower, upper = problem.lower.tolist(), problem.upper.tolist()
+        best_x = colony.global_best.x.tolist()
     for h in range(cfg.homes):
         members = colony.members(h)
         if not members:
@@ -405,15 +462,23 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
                 budget_hit = True
                 break
             home_before = s.home_id
-            y = trail_following_update(s, colony, problem, cfg, rng)
-            switched = s.home_id != home_before
-            # count_nonzero of != is np.array_equal for same-shape arrays at
-            # half the call overhead (coordinates collapse onto the best
-            # position, so a first-coordinate shortcut rarely decides)
-            if not np.count_nonzero(y != s.x):
-                continue
-            if not switched and not np.count_nonzero(y != colony.global_best.x):
-                continue
+            if floats:
+                x = s.x.tolist()
+                y_list = _trail_floats(s, x, best_x, lower, upper, colony, cfg, rng)
+                switched = s.home_id != home_before
+                if y_list == x or (not switched and y_list == best_x):
+                    continue
+                y = np.array(y_list)
+            else:
+                y = trail_following_update(s, colony, problem, cfg, rng)
+                switched = s.home_id != home_before
+                # count_nonzero of != is np.array_equal for same-shape arrays
+                # at half the call overhead (coordinates collapse onto the
+                # best position, so a first-coordinate shortcut rarely decides)
+                if not np.count_nonzero(y != s.x):
+                    continue
+                if not switched and not np.count_nonzero(y != colony.global_best.x):
+                    continue
             fy = evaluate(problem, y, colony.counter)
             if switched or fy <= s.f:
                 s.x = y
@@ -421,6 +486,8 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
                 if fy <= colony.global_best.f:
                     # positions are replaced, never mutated: y can be shared
                     colony.global_best = Anchor(x=y, f=fy)
+                    if floats:
+                        best_x = y_list
         if budget_hit:
             break
 

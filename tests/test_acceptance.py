@@ -115,7 +115,7 @@ def test_criterion_02_hundred_iteration_property_suite():
             for h in range(cfg.homes):
                 members = col_a.members(h)
                 if members:
-                    p = selection_probabilities([s.f for s in members])
+                    p = np.asarray(selection_probabilities([s.f for s in members]))
                     ok = ok and abs(float(p.sum()) - 1.0) <= 1e-9
                     ok = ok and bool(np.all(p > 0.0))
         # seed determinism, bit for bit

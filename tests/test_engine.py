@@ -120,14 +120,14 @@ def test_normalize_ld_stays_in_unit_interval(raw):
 # ---------------------------------------------------------------------------
 
 def test_selection_probabilities_inverse_proportionality():
-    p = selection_probabilities([1.0, 3.0])
+    p = np.asarray(selection_probabilities([1.0, 3.0]))
     assert p[0] == pytest.approx(0.75, abs=1e-12)
     assert p[1] == pytest.approx(0.25, abs=1e-12)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_selection_probabilities_handles_nonpositive_values():
-    p = selection_probabilities([-2.0, 0.0, 2.0])
+    p = np.asarray(selection_probabilities([-2.0, 0.0, 2.0]))
     assert np.all(p > 0.0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     assert p[0] > p[1] > p[2]
@@ -142,7 +142,7 @@ def test_selection_probabilities_rejects_bad_shapes():
 
 @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=15))
 def test_selection_probabilities_order_property(values):
-    p = selection_probabilities(values)
+    p = np.asarray(selection_probabilities(values))
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(p > 0.0)
     order = np.argsort(values, kind="stable")

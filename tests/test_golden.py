@@ -42,6 +42,27 @@ TRIAL_PINS = {
     ("F16", None, 7, None): "fede01d0ff026c58314a19ef6b382d9e443ee09b50c3a0d091d65d2002dcff75",
 }
 
+# pins on both sides of FLOAT_MOVE_DIM (12), where the engine's candidate
+# moves switch from Python floats to numpy, and on the emigration path;
+# (problem, dim, seed, homes, home_switch_prob) -> digest at the default budget
+MOVE_PINS = {
+    ("F19", None, 1, 3, 0.1): "8b3c585893af67e1281efe3f7342a462381fb355f57f5567c5b23f6d01d125de",
+    ("F9", 12, 1, 3, 0.1): "503235087e3833d8906c9907b373ee87400de78f6df35292c1b8dfaddb76765e",
+    ("F9", 13, 1, 3, 0.1): "e509bdd5837a1d936d5e871b2ffa869d4e33584f8db6c41add1d6a132ff42337",
+    ("sthe3", None, 1, 5, 0.5): "d3fd3a0c2dcea0dadcd420f60bf780af084eee5822a9f2043b3b4853209e855a",
+}
+
+
+@pytest.mark.parametrize("key", list(MOVE_PINS), ids=lambda k: "{}-d{}-s{}-h{}-p{}".format(*k))
+def test_move_kernel_trajectory_is_pinned(key):
+    problem_id, dim, seed, homes, switch_prob = key
+    cfg = CampaignConfig(problem=problem_id, dim=dim)
+    problem = resolve_problem(cfg)
+    rec = run(problem, ShmsConfig(homes=homes, home_switch_prob=switch_prob,
+                                  max_evals=default_budget(cfg, problem), seed=seed))
+    assert trajectory_digest(rec) == MOVE_PINS[key]
+
+
 SCATTER_PIN = "6d920204e1a55056ecf15512f6e18d31cf9cc15b0540d1b14849c573a75c797a"
 
 

@@ -450,10 +450,17 @@ def test_reports_closeness_for_exchanger_campaigns(tmp_path):
 
 
 def test_reports_on_an_empty_directory(tmp_path):
+    (tmp_path / "nothing").mkdir()
     files = generate_reports(tmp_path / "nothing")
     names = {p.name for p in files}
     assert names == {"friedman_published.csv", "report.txt"}
     assert "no campaigns found" in (tmp_path / "nothing" / "report.txt").read_text()
+
+
+def test_reports_refuse_a_missing_directory(tmp_path):
+    with pytest.raises(NotADirectoryError):
+        generate_reports(tmp_path / "nothing")
+    assert not (tmp_path / "nothing").exists()
 
 
 def test_campaigns_opting_out_of_statistics_are_skipped(tmp_path):
@@ -681,6 +688,19 @@ def test_cli_refuses_a_bad_campaign_before_writing(tmp_path, capsys, flags):
     assert err.splitlines()[-1].startswith("snailopt: error: ")
     assert named in err.splitlines()[-1]
     assert not out.exists()
+
+
+def test_cli_report_refuses_a_missing_directory(tmp_path, capsys):
+    missing = tmp_path / "nodir" / "a" / "b"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(missing)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines()
+            if line.startswith("snailopt: error: ")] == [err.splitlines()[-1]]
+    assert str(missing) in err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_config_file_takes_an_integer_for_a_float(tmp_path):
