@@ -9,7 +9,9 @@ For every workload in ``BENCHMARK.json`` and for ``--trace 0`` and
 --seconds 15 --trace T`` and keeps the run's first output line (the
 provenance) and its last (the JSON with the metrics and check counts).
 It records what perfbench printed and judges nothing: a run whose checks
-fail is written down with its counts.
+fail is written down with its counts.  The ``tree`` block names the tree
+measured: ``HEAD``, whether tracked files differ from it, and if they do
+a ``git stash create`` commit that holds them.
 """
 
 from __future__ import annotations
@@ -36,12 +38,23 @@ def record_run(command: list, workload: str, seconds: int, trace: int):
     return json.loads(out[0].split("provenance ", 1)[1]), json.loads(out[-1])
 
 
+def tree_identity() -> dict:
+    """``HEAD``, a dirty flag and the uncommitted tracked changes' commit."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    return {"head": git("rev-parse", "HEAD"), "dirty": dirty,
+            "stash": git("stash", "create") if dirty else None}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True,
                         help="number of the change; names BENCH_<pr>.json")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    tree = tree_identity()
     workloads = {}
     for w in bench["workloads"]:
         for trace in (0, 1):
@@ -50,7 +63,7 @@ def main(argv=None) -> int:
             workloads.setdefault(w["name"], {})[f"trace{trace}"] = result
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({"schema": SCHEMA, "pr": args.pr,
-                               "provenance": provenance,
+                               "tree": tree, "provenance": provenance,
                                "workloads": workloads}, indent=1) + "\n")
     print(out)
     return 0

@@ -162,10 +162,11 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     if args.command == "catalog":
         return cmd_catalog()
-    # a bad flag value or config file is a usage error, refused before
-    # anything is written; errors inside the trials are not caught
+    # a bad flag value, config file or output path is a usage error,
+    # refused before any trial runs; errors inside the trials are not caught
     try:
         cfg = config_from_args(args)
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
     return cmd_run(cfg)

@@ -610,20 +610,24 @@ def generate_reports(results_dir) -> list[Path]:
         if published is None:
             published = published_tables()
         case_id = cfg.problem[-1]
-        for ref in published["closeness"][case_id]:
-            value = closeness_percent(ref["c_total"], summary.best)
-            close_rows.append({
-                "case": int(case_id), "campaign": cfg.display_label,
-                "reference": ref["name"], "reference_c_total": ref["c_total"],
-                "our_best": summary.best,
-                "closeness_percent": value,
-                "direction": closeness_direction(value),
-            })
+        refs = published["closeness"][case_id]
+        try:  # a cost that is not positive (a damaged record) has none
+            values = [closeness_percent(r["c_total"], summary.best) for r in refs]
+        except ValueError as exc:
+            notices.append(f"{cfg.display_label}: closeness rows skipped: {exc}")
+            continue
+        close_rows += [{
+            "case": int(case_id), "campaign": cfg.display_label,
+            "reference": ref["name"], "reference_c_total": ref["c_total"],
+            "our_best": summary.best,
+            "closeness_percent": value,
+            "direction": closeness_direction(value),
+        } for ref, value in zip(refs, values)]
     if close_rows:
         c_path = root / "closeness_sthe.csv"
         write_table_csv(c_path, close_rows)
         written.append(c_path)
-    elif any(cfg.is_sthe for cfg, _s in campaigns):
+    elif published is None and any(cfg.is_sthe for cfg, _s in campaigns):
         notices.append("exchanger campaigns present but none completed")
 
     lines = [f"# schema: {REPORT_SCHEMA}", ""]

@@ -435,32 +435,32 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
     equal to the snail's position, or (for a non-emigrating snail) to
     the already-evaluated best position, are discarded unevaluated.
 
-    The evaluation budget is checked before every single evaluation:
-    hitting it stops the iteration mid-flight, leaving already-accepted
-    moves in place.
+    The evaluation budget is checked before each home's mating and
+    before every move: once it is spent the iteration stops, leaving
+    already-accepted moves in place.  A home's members are gathered at
+    its turn, so snails that emigrated from an earlier home this
+    iteration mate and move again there.
     """
-    budget_hit = False
     floats = problem.dim <= FLOAT_MOVE_DIM
     if floats:
         lower, upper = problem.lower.tolist(), problem.upper.tolist()
         best_x = colony.global_best.x.tolist()
     for h in range(cfg.homes):
+        if colony.counter.count >= cfg.max_evals:
+            break
         members = colony.members(h)
         if not members:
             continue  # emptied by emigration; anchor keeps last memory
-        fecundity = [fecundity_index(s.f_hist[0], s.f_hist[1], s.f_hist[2], rng)
-                     for s in members]
+        fecundity = [fecundity_index(*s.f_hist, rng) for s in members]
         probs = selection_probabilities([s.f for s in members])
         k = roulette_select(probs, rng)
         fecund = members.pop(k)
         del fecundity[k]
         raws = [love_dart_raw(fi, s.f, fecund.f) for fi, s in zip(fecundity, members)]
         for s, ld in zip(members, normalize_ld(raws)):
-            s.ld_norm = ld
-        for s in members:
             if colony.counter.count >= cfg.max_evals:
-                budget_hit = True
                 break
+            s.ld_norm = ld
             home_before = s.home_id
             if floats:
                 x = s.x.tolist()
@@ -488,18 +488,16 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
                     colony.global_best = Anchor(x=y, f=fy)
                     if floats:
                         best_x = y_list
-        if budget_hit:
-            break
 
-    # bookkeeping: histories shift, anchors refresh without regressing
+    # one pass: histories shift, each home's first lowest snail is found
+    home_best: dict[int, SnailState] = {}
     for s in colony.snails:
         s.f_hist = (s.f, s.f_hist[0], s.f_hist[1])
-    for h in range(cfg.homes):
-        members = colony.members(h)
-        if members:
-            best = min(members, key=lambda s: s.f)
-            if best.f <= colony.home_anchor[h].f:
-                colony.home_anchor[h] = Anchor(x=best.x.copy(), f=best.f)
+        if s.f < home_best.setdefault(s.home_id, s).f:
+            home_best[s.home_id] = s
+    for h, b in home_best.items():
+        if b.f <= colony.home_anchor[h].f:
+            colony.home_anchor[h] = Anchor(x=b.x, f=b.f)  # shared, like y
     colony.iteration += 1
 
 
@@ -523,17 +521,15 @@ def run(problem: BoundedProblem, cfg: ShmsConfig, observer=None) -> RunRecord:
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     colony = init_colony(problem, cfg, rng)
-    trace = [colony.global_best.f]
-    if observer is not None:
-        observer(colony)
-    w = cfg.stagnation_window
-    while colony.counter.count < cfg.max_evals:
-        if len(trace) > w and (trace[-1 - w] - trace[-1]) < cfg.stagnation_tol:
-            break
-        step(colony, problem, cfg, rng)
+    trace, w = [], cfg.stagnation_window
+    while True:
         trace.append(colony.global_best.f)
         if observer is not None:
             observer(colony)
+        if colony.counter.count >= cfg.max_evals or (
+                len(trace) > w and trace[-1 - w] - trace[-1] < cfg.stagnation_tol):
+            break
+        step(colony, problem, cfg, rng)
     return RunRecord(
         seed=cfg.seed,
         max_evals=cfg.max_evals,

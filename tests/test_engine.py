@@ -1,5 +1,6 @@
 """Engine tests: mating operators, the trail-following move, and full runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from snailopt.benchmarks import make_benchmark
 from snailopt.objective import BoundedProblem, EvalCounter
 from snailopt.shms import (LARGE_LD, Anchor, ColonyState, ShmsConfig,
                            SnailState, fecundity_index, init_colony,
                            love_dart_raw, normalize_ld, roulette_select, run,
-                           selection_probabilities, trail_following_update)
+                           selection_probabilities, step,
+                           trail_following_update)
 
 
 def sphere(dim=3, lo=-5.0, hi=5.0, shift=0.0):
@@ -427,6 +430,31 @@ def test_observer_sees_init_plus_every_iteration():
 
     rec = run(problem, ShmsConfig(max_evals=800, seed=21), observer=observer)
     assert counts == list(range(len(rec.best_trace)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("fid, dim", [("F16", None), ("F9", 30)])
+def test_emigrants_mate_and_move_again_in_a_later_home(fid, dim, seed, monkeypatch):
+    # every move emigrates: home 0's nine movers join home 1, which then
+    # mates and moves 18 snails, so one step spends 9 + 18 evaluations
+    # (grouping the snails once per iteration would spend 9 + 9)
+    problem = make_benchmark(fid, dim)
+    cfg = ShmsConfig(homes=2, snails_per_home=10, home_switch_prob=1.0,
+                     max_evals=1000, seed=seed)
+    rng = np.random.default_rng(seed)
+    colony = init_colony(problem, cfg, rng)
+    gathered = []
+    members = ColonyState.members
+    monkeypatch.setattr(ColonyState, "members",
+                        lambda self, h: gathered.append(h) or members(self, h))
+    step(colony, problem, cfg, rng)
+    assert gathered == [0, 1]  # each home's members gathered once
+    assert colony.counter.count == 20 + 27
+    assert [len(members(colony, h)) for h in range(2)] == [19, 1]
+    # the budget is tested before each home's mating: a run that can
+    # afford home 0's moves stops at home 1's turn
+    rec = run(problem, dataclasses.replace(cfg, max_evals=29))
+    assert rec.evals == 29
 
 
 @settings(deadline=None, max_examples=15)

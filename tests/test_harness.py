@@ -542,6 +542,24 @@ def test_unreadable_summary_is_reported_not_fatal(tmp_path):
         assert "campaigns found: 1" in report, case
 
 
+def test_nonpositive_exchanger_cost_is_reported_not_fatal(tmp_path, capsys):
+    # a hand-edited but self-consistent record: a cost below zero has no
+    # closeness, so that campaign's rows are skipped with a note
+    out = tmp_path / "sthe1"
+    run_campaign(CampaignConfig(problem="sthe1", trials=2, max_evals=300,
+                                out_dir=str(out)))
+    trial = json.loads((out / "trial_000.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    trial["final_f"] = summary["finals"][0] = -5.0
+    (out / "trial_000.json").write_text(json.dumps(trial))
+    (out / "summary.json").write_text(json.dumps(summary))
+    assert cli.main(["report", "--in", str(tmp_path)]) == 0
+    assert "closeness_sthe.csv" not in capsys.readouterr().out
+    report = (tmp_path / "report.txt").read_text()
+    assert "note: sthe1: closeness rows skipped" in report
+    assert "none completed" not in report
+
+
 def test_missing_trial_file_is_reported_not_fatal(tmp_path):
     run_campaign(small_cfg(tmp_path / "damaged", trials=3))
     run_campaign(small_cfg(tmp_path / "intact", trials=3, label="intact"))
@@ -688,6 +706,21 @@ def test_cli_refuses_a_bad_campaign_before_writing(tmp_path, capsys, flags):
     assert err.splitlines()[-1].startswith("snailopt: error: ")
     assert named in err.splitlines()[-1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_cli_refuses_an_output_path_under_a_file(tmp_path, capsys, sub):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--problem", "F16", "--out", str(taken / sub)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines()
+            if line.startswith("snailopt: error: ")] == [err.splitlines()[-1]]
+    assert str(taken) in err.splitlines()[-1]
+    assert sorted(tmp_path.iterdir()) == [taken]
 
 
 def test_cli_report_refuses_a_missing_directory(tmp_path, capsys):
