@@ -17,11 +17,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 from scipy.optimize import minimize
 
-from snailopt.benchmarks import CATALOG
+from snailopt.benchmarks import make_benchmark
 
 
 def polish(name, fid, x0):
-    fun = CATALOG[fid].func
+    fun = make_benchmark(fid).func
     res = minimize(fun, x0, method="Nelder-Mead",
                    options=dict(xatol=1e-14, fatol=1e-16, maxiter=20000, maxfev=40000))
     # second pass from the first result to squeeze out the simplex

@@ -1,0 +1,15 @@
+"""``np``, bound lazily: numpy loads on the first attribute access
+(``importlib.util.LazyLoader``), so ``report`` and ``catalog``, which
+use none of it, skip its import; from then on it is the plain module."""
+
+import importlib.util
+import sys
+
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    if _spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)

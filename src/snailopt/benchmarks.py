@@ -29,12 +29,12 @@ Notes on the catalog values
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .objective import BoundedProblem
 
 __all__ = [
@@ -134,25 +134,28 @@ def _penalized2(x):
     return float(0.1 * term + np.sum(_u_penalty(x, 5.0, 100.0, 4.0)))
 
 
-_FOX_A1 = np.tile([-32.0, -16.0, 0.0, 16.0, 32.0], 5)
-_FOX_A2 = np.repeat([-32.0, -16.0, 0.0, 16.0, 32.0], 5)
+# The fixed-dimension functions below take their constant tables, as
+# arrays, before ``x``; make_benchmark builds the arrays per problem, so
+# importing the catalog loads no numpy.
+_FOX_GRID = [-32.0, -16.0, 0.0, 16.0, 32.0]
+_FOX = ([float(j) for j in range(1, 26)], _FOX_GRID * 5,
+        [g for g in _FOX_GRID for _ in range(5)])
 
 
-def _foxholes(x):
-    j = np.arange(1.0, 26.0)
-    denom = j + (x[0] - _FOX_A1) ** 6 + (x[1] - _FOX_A2) ** 6
+def _foxholes(j, a1, a2, x):
+    denom = j + (x[0] - a1) ** 6 + (x[1] - a2) ** 6
     return float(1.0 / (1.0 / 500.0 + np.sum(1.0 / denom)))
 
 
-_KOW_A = np.array([0.1957, 0.1947, 0.1735, 0.16, 0.0844, 0.0627,
-                   0.0456, 0.0342, 0.0323, 0.0235, 0.0246])
-_KOW_B = 1.0 / np.array([0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0])
+_KOWALIK = ([0.1957, 0.1947, 0.1735, 0.16, 0.0844, 0.0627,
+             0.0456, 0.0342, 0.0323, 0.0235, 0.0246],
+            [1.0 / v for v in (0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)])
 
 
-def _kowalik(x):
-    num = x[0] * (_KOW_B ** 2 + _KOW_B * x[1])
-    den = _KOW_B ** 2 + _KOW_B * x[2] + x[3]
-    return float(np.sum((_KOW_A - num / den) ** 2))
+def _kowalik(a, b, x):
+    num = x[0] * (b ** 2 + b * x[1])
+    den = b ** 2 + b * x[2] + x[3]
+    return float(np.sum((a - num / den) ** 2))
 
 
 def _camel6(x):
@@ -176,55 +179,48 @@ def _goldstein_price(x):
     return float(a * b)
 
 
-_H_C = np.array([1.0, 1.2, 3.0, 3.2])
-_H3_A = np.array([[3.0, 10.0, 30.0],
-                  [0.1, 10.0, 35.0],
-                  [3.0, 10.0, 30.0],
-                  [0.1, 10.0, 35.0]])
-_H3_P = 1e-4 * np.array([[3689.0, 1170.0, 2673.0],
-                         [4699.0, 4387.0, 7470.0],
-                         [1091.0, 8732.0, 5547.0],
-                         [381.0, 5743.0, 8828.0]])
-_H6_A = np.array([[10.0, 3.0, 17.0, 3.5, 1.7, 8.0],
-                  [0.05, 10.0, 17.0, 0.1, 8.0, 14.0],
-                  [3.0, 3.5, 1.7, 10.0, 17.0, 8.0],
-                  [17.0, 8.0, 0.05, 10.0, 0.1, 14.0]])
-_H6_P = 1e-4 * np.array([[1312.0, 1696.0, 5569.0, 124.0, 8283.0, 5886.0],
-                         [2329.0, 4135.0, 8307.0, 3736.0, 1004.0, 9991.0],
-                         [2348.0, 1451.0, 3522.0, 2883.0, 3047.0, 6650.0],
-                         [4047.0, 8828.0, 8732.0, 5743.0, 1091.0, 381.0]])
+_H_C = [1.0, 1.2, 3.0, 3.2]
+_H3 = ([[3.0, 10.0, 30.0],
+        [0.1, 10.0, 35.0],
+        [3.0, 10.0, 30.0],
+        [0.1, 10.0, 35.0]],
+       [[1e-4 * v for v in row] for row in ([3689.0, 1170.0, 2673.0],
+                                            [4699.0, 4387.0, 7470.0],
+                                            [1091.0, 8732.0, 5547.0],
+                                            [381.0, 5743.0, 8828.0])],
+       _H_C)
+_H6 = ([[10.0, 3.0, 17.0, 3.5, 1.7, 8.0],
+        [0.05, 10.0, 17.0, 0.1, 8.0, 14.0],
+        [3.0, 3.5, 1.7, 10.0, 17.0, 8.0],
+        [17.0, 8.0, 0.05, 10.0, 0.1, 14.0]],
+       [[1e-4 * v for v in row] for row in ([1312.0, 1696.0, 5569.0, 124.0, 8283.0, 5886.0],
+                                            [2329.0, 4135.0, 8307.0, 3736.0, 1004.0, 9991.0],
+                                            [2348.0, 1451.0, 3522.0, 2883.0, 3047.0, 6650.0],
+                                            [4047.0, 8828.0, 8732.0, 5743.0, 1091.0, 381.0])],
+       _H_C)
 
 
-def _hartman(a: np.ndarray, p: np.ndarray) -> Callable[[np.ndarray], float]:
-    def f(x):
-        inner = np.sum(a * (x - p) ** 2, axis=1)
-        return float(-np.sum(_H_C * np.exp(-inner)))
-
-    return f
+def _hartman(a, p, c, x):
+    inner = np.sum(a * (x - p) ** 2, axis=1)
+    return float(-np.sum(c * np.exp(-inner)))
 
 
-_SHEKEL_A = np.array([[4.0, 4.0, 4.0, 4.0],
-                      [1.0, 1.0, 1.0, 1.0],
-                      [8.0, 8.0, 8.0, 8.0],
-                      [6.0, 6.0, 6.0, 6.0],
-                      [3.0, 7.0, 3.0, 7.0],
-                      [2.0, 9.0, 2.0, 9.0],
-                      [5.0, 5.0, 3.0, 3.0],
-                      [8.0, 1.0, 8.0, 1.0],
-                      [6.0, 2.0, 6.0, 2.0],
-                      [7.0, 3.6, 7.0, 3.6]])
-_SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
+_SHEKEL_A = [[4.0, 4.0, 4.0, 4.0],
+             [1.0, 1.0, 1.0, 1.0],
+             [8.0, 8.0, 8.0, 8.0],
+             [6.0, 6.0, 6.0, 6.0],
+             [3.0, 7.0, 3.0, 7.0],
+             [2.0, 9.0, 2.0, 9.0],
+             [5.0, 5.0, 3.0, 3.0],
+             [8.0, 1.0, 8.0, 1.0],
+             [6.0, 2.0, 6.0, 2.0],
+             [7.0, 3.6, 7.0, 3.6]]
+_SHEKEL_C = [0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5]
 
 
-def _shekel(m: int) -> Callable[[np.ndarray], float]:
-    a = _SHEKEL_A[:m]
-    c = _SHEKEL_C[:m]
-
-    def f(x):
-        d = a - x
-        return float(-np.sum(1.0 / (np.sum(d * d, axis=1) + c)))
-
-    return f
+def _shekel(a, c, x):
+    d = a - x
+    return float(-np.sum(1.0 / (np.sum(d * d, axis=1) + c)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +235,8 @@ class BenchmarkSpec:
     symmetry): for scalable functions a per-coordinate value broadcast
     to the requested dimension, for fixed-dimension functions the full
     vector.  ``f_min_per_dim`` marks minima that scale linearly with
-    the dimension (only F8).
+    the dimension (only F8).  ``func`` takes the ``tables``, as arrays,
+    before ``x``; :func:`make_benchmark` binds them.
     """
 
     fid: str
@@ -249,8 +246,9 @@ class BenchmarkSpec:
     upper: float
     f_min: float
     x_min: float | tuple  # scalable: broadcast coordinate; fixed-dim: vector
-    func: Callable[[np.ndarray], float]
+    func: Callable[..., float]
     f_min_per_dim: bool = False
+    tables: tuple = ()
 
 
 CATALOG: dict[str, BenchmarkSpec] = {s.fid: s for s in [
@@ -270,10 +268,10 @@ CATALOG: dict[str, BenchmarkSpec] = {s.fid: s for s in [
     BenchmarkSpec("F12", "Penalized", None, -50.0, 50.0, 0.0, -1.0, _penalized),
     BenchmarkSpec("F13", "Penalized 2", None, -50.0, 50.0, 0.0, 1.0, _penalized2),
     BenchmarkSpec("F14", "Foxholes", 2, -65.0, 65.0, 0.9980038377944498,
-                  (-31.97833357139726, -31.978336789414364), _foxholes),
+                  (-31.97833357139726, -31.978336789414364), _foxholes, tables=_FOX),
     BenchmarkSpec("F15", "Kowalik", 4, -5.0, 5.0, 3.074859878056051e-04,
                   (0.19283345304274813, 0.19083624027597035,
-                   0.12311729907598003, 0.13576599033984466), _kowalik),
+                   0.12311729907598003, 0.13576599033984466), _kowalik, tables=_KOWALIK),
     BenchmarkSpec("F16", "Six-Hump Camel", 2, -5.0, 5.0, -1.0316284534898774,
                   (0.08984200893527233, -0.712656403019058), _camel6),
     BenchmarkSpec("F17", "Branin", 2, -5.0, 5.0, 0.39788735772973816,
@@ -284,20 +282,23 @@ CATALOG: dict[str, BenchmarkSpec] = {s.fid: s for s in [
     # could check; minima printed elsewhere agree only on that domain.
     BenchmarkSpec("F19", "Hartman 3", 3, 0.0, 1.0, -3.862779787332663,
                   (0.11458886908541062, 0.5556488928322367, 0.8525469854282611),
-                  _hartman(_H3_A, _H3_P)),
+                  _hartman, tables=_H3),
     BenchmarkSpec("F20", "Hartman 6", 6, 0.0, 1.0, -3.3223680114155147,
                   (0.20168950909365746, 0.15001069354111374, 0.4768739729250998,
                    0.2753324275220782, 0.3116516172395686, 0.6573005345536702),
-                  _hartman(_H6_A, _H6_P)),
+                  _hartman, tables=_H6),
     BenchmarkSpec("F21", "Shekel 5", 4, 0.0, 10.0, -10.153199679058229,
                   (4.000037152376549, 4.000133278657566,
-                   4.000037151057555, 4.000133277090425), _shekel(5)),
+                   4.000037151057555, 4.000133277090425), _shekel,
+                  tables=(_SHEKEL_A[:5], _SHEKEL_C[:5])),
     BenchmarkSpec("F22", "Shekel 7", 4, 0.0, 10.0, -10.402940566818662,
                   (4.000572914277084, 4.000689366040889,
-                   3.9994897107938447, 3.9996061600067923), _shekel(7)),
+                   3.9994897107938447, 3.9996061600067923), _shekel,
+                  tables=(_SHEKEL_A[:7], _SHEKEL_C[:7])),
     BenchmarkSpec("F23", "Shekel 10", 4, 0.0, 10.0, -10.536409816692045,
                   (4.000746530253313, 4.000592936779709,
-                   3.9996633957714787, 3.9995097993299975), _shekel(10)),
+                   3.9996633957714787, 3.9995097993299975), _shekel,
+                  tables=(_SHEKEL_A, _SHEKEL_C)),
 ]}
 
 
@@ -339,6 +340,8 @@ def make_benchmark(fid: str, dim: int | None = None,
         raise KeyError(f"unknown benchmark id {fid!r}; expected F1..F23") from None
     n = _resolve_dim(spec, dim)
     func = spec.func
+    if spec.tables:
+        func = functools.partial(func, *(np.array(t) for t in spec.tables))
     if fid == "F7" and noise_rng is not None:
         def func(x, _base=spec.func, _rng=noise_rng):
             return _base(x) + float(_rng.uniform())

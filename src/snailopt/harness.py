@@ -44,6 +44,10 @@ campaign results against the published designs.
 
 Every output file carries a schema tag; the column layouts are
 documented in ``data/output_schemas.json``.
+
+``report`` never loads numpy (bound lazily, in ``_numpy``): configs take
+the dimension from the catalog's rule, summaries and statistics are
+plain floats.  :func:`run_campaign` loads it before its pool forks.
 """
 
 from __future__ import annotations
@@ -55,18 +59,18 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .benchmarks import CATALOG, make_benchmark
+from ._numpy import np
+from .benchmarks import CATALOG, _resolve_dim, make_benchmark
 from .data import load
 from .objective import BoundedProblem, NonFiniteObjective
 from .shms import RunRecord, ShmsConfig, run
-from .stats import friedman_ranks, wilcoxon_signed_rank
+from .stats import _pairwise_sum, friedman_ranks, wilcoxon_signed_rank
 from .sthe import (closeness_direction, closeness_percent, make_problem,
                    published_tables)
 
@@ -157,20 +161,28 @@ class CampaignConfig:
         if bad:
             raise ValueError(f"unknown engine override(s): {sorted(bad)}")
         _check_types(ShmsConfig, self.engine, "engine key")
-        # the problem checks the dimension, the engine its values (budget, seed)
-        ShmsConfig(max_evals=default_budget(self, resolve_problem(self)),
-                   seed=self.base_seed, **self.engine)
+        # default_budget checks the dimension, the engine its values
+        ShmsConfig(max_evals=default_budget(self), seed=self.base_seed,
+                   **self.engine)
 
     @property
     def is_sthe(self) -> bool:
         return self.problem.startswith("sthe")
 
     @property
+    def problem_dim(self) -> int:
+        """The problem's dimension by the catalog's rule, without building
+        the problem; ``ValueError`` for a dimension the problem rejects."""
+        if not self.is_sthe:
+            return _resolve_dim(CATALOG[self.problem], self.dim)
+        if self.dim not in (None, 4):
+            raise ValueError("exchanger cases are 4-dimensional; drop --dim")
+        return 4
+
+    @property
     def problem_key(self) -> str:
         """Problem identity used to align campaigns in reports."""
-        if self.is_sthe:
-            return self.problem
-        return f"{self.problem}-d{resolve_problem(self).dim}"
+        return self.problem if self.is_sthe else f"{self.problem}-d{self.problem_dim}"
 
     @property
     def display_label(self) -> str:
@@ -235,47 +247,51 @@ class CampaignSummary:
 def resolve_problem(cfg: CampaignConfig) -> BoundedProblem:
     """Instantiate the problem a config refers to."""
     if cfg.is_sthe:
-        if cfg.dim not in (None, 4):
-            raise ValueError("exchanger cases are 4-dimensional; drop --dim")
         return make_problem(int(cfg.problem[-1]))
     return make_benchmark(cfg.problem, cfg.dim)
 
 
-def default_budget(cfg: CampaignConfig, problem: BoundedProblem) -> int:
-    """The evaluation budget implied by the config (or its default)."""
+def default_budget(cfg: CampaignConfig, problem=None) -> int:
+    """The evaluation budget implied by the config (or its default).
+
+    The dimension comes from :attr:`CampaignConfig.problem_dim`;
+    ``problem`` is ignored, kept so that callers passing one still work.
+    """
+    dim = cfg.problem_dim
     if cfg.max_evals is not None:
         return int(cfg.max_evals)
     if cfg.is_sthe:
         return STHE_BUDGETS[int(cfg.problem[-1])]
-    if problem.dim <= 100:
+    if dim <= 100:
         return BENCHMARK_BUDGET_SMALL
     return BENCHMARK_BUDGET_LARGE
 
 
 def summarize(cfg: CampaignConfig, records: list[dict]) -> CampaignSummary:
     """Aggregate the completed trials' records (:func:`trial_record`);
-    pure, so a summary re-derives exactly from the records on disk."""
-    if not records:
+    pure, so a summary re-derives exactly from the records on disk.  Mean
+    and std are numpy's, bit for bit, summed in numpy's order on floats."""
+    n = len(records)
+    if not n:
         nan = float("nan")
         return CampaignSummary(cfg.problem_key, cfg.display_label, cfg.trials,
                                0, nan, nan, nan, nan, nan, nan)
-    arr = np.array([float(r["final_f"]) for r in records])
-    best = float(arr.min())
-    worst = float(arr.max())
-    # summation round-off can push the mean of near-identical finals a
-    # few ulps past the extremes; the true mean always lies between them
-    mean = min(max(float(arr.mean()), best), worst)
+    finals = [float(r["final_f"]) for r in records]
+    best, worst = min(finals), max(finals)
+    mean = _pairwise_sum(finals) / n
     return CampaignSummary(
         problem_key=cfg.problem_key,
         label=cfg.display_label,
         trials=cfg.trials,
-        completed=len(records),
+        completed=n,
         best=best,
         worst=worst,
-        mean=mean,
-        std=float(arr.std()),
-        avg_evals=float(np.mean([float(r["evals"]) for r in records])),
-        avg_wall_time=float(np.mean([float(r["wall_time"]) for r in records])),
+        # summation round-off can push the mean of near-identical finals a
+        # few ulps past the extremes; the true mean always lies between them
+        mean=min(max(mean, best), worst),
+        std=math.sqrt(_pairwise_sum([(f - mean) * (f - mean) for f in finals]) / n),
+        avg_evals=_pairwise_sum([float(r["evals"]) for r in records]) / n,
+        avg_wall_time=_pairwise_sum([float(r["wall_time"]) for r in records]) / n,
     )
 
 
@@ -425,7 +441,7 @@ def run_trial(cfg: CampaignConfig, i: int) -> dict:
     """
     problem = resolve_problem(cfg)
     seed = cfg.base_seed + i
-    shms_cfg = ShmsConfig(max_evals=default_budget(cfg, problem), seed=seed,
+    shms_cfg = ShmsConfig(max_evals=default_budget(cfg), seed=seed,
                           **cfg.engine)
     recorder = ScatterRecorder() if cfg.export_scatter else None
     try:
@@ -450,6 +466,7 @@ def _trial_results(cfg: CampaignConfig, workers: int):
     trial = functools.partial(run_trial, cfg)
     workers = min(workers, cfg.trials)
     if workers > 1:
+        np.ndarray  # load numpy here, once, not in every forked worker
         import multiprocessing
         try:
             ctx = multiprocessing.get_context("fork")
@@ -511,15 +528,17 @@ def load_campaign(summary_path) -> tuple[CampaignConfig, CampaignSummary, dict]:
     return cfg, summarize(cfg, records), payload
 
 
-def _check_finals(summary_path, payload: dict) -> None:
-    """Raise ``ValueError`` unless ``finals``, which the signed-rank table
-    pairs, lists the records' ``final_f`` in ``record_files`` order."""
+def _check_finals(summary_path, cfg: CampaignConfig, payload: dict) -> None:
+    """Raise ``ValueError`` unless ``finals`` (the signed-rank table pairs
+    it) is the records' ``final_f`` in order, with exchanger costs > 0."""
     base = Path(summary_path).parent
     finals = [read_trial_record(base / name)["final_f"]
               for name in payload["record_files"]]
     if payload.get("finals") != finals:
         raise ValueError(f"{summary_path}: 'finals' is missing or does not "
                          "match the trial records")
+    if cfg.is_sthe and min(finals, default=1.0) <= 0.0:
+        raise ValueError(f"exchanger cost {min(finals)!r} is not positive")
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +554,10 @@ def published_friedman_rows() -> list[dict]:
     data = load("published_means.json")
     rows = []
     for key, table in data["tables"].items():
-        res = friedman_ranks(np.asarray(table["means"], dtype=float),
-                             data["algorithms"])
+        res = friedman_ranks(table["means"], data["algorithms"])
         for lab, mr, rk in zip(res.labels, res.mean_ranks, res.ordering):
             rows.append({"table": key, "algorithm": lab,
-                         "mean_rank": float(mr), "rank": int(rk)})
+                         "mean_rank": mr, "rank": rk})
     return rows
 
 
@@ -563,7 +581,7 @@ def generate_reports(results_dir) -> list[Path]:
     for path in sorted(root.rglob("summary.json")):
         try:
             cfg, summary, payload = load_campaign(path)
-            _check_finals(path, payload)
+            _check_finals(path, cfg, payload)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             notices.append(f"skipped {path}: {exc}")
             continue
@@ -610,24 +628,20 @@ def generate_reports(results_dir) -> list[Path]:
         if published is None:
             published = published_tables()
         case_id = cfg.problem[-1]
-        refs = published["closeness"][case_id]
-        try:  # a cost that is not positive (a damaged record) has none
-            values = [closeness_percent(r["c_total"], summary.best) for r in refs]
-        except ValueError as exc:
-            notices.append(f"{cfg.display_label}: closeness rows skipped: {exc}")
-            continue
-        close_rows += [{
-            "case": int(case_id), "campaign": cfg.display_label,
-            "reference": ref["name"], "reference_c_total": ref["c_total"],
-            "our_best": summary.best,
-            "closeness_percent": value,
-            "direction": closeness_direction(value),
-        } for ref, value in zip(refs, values)]
+        for ref in published["closeness"][case_id]:
+            value = closeness_percent(ref["c_total"], summary.best)
+            close_rows.append({
+                "case": int(case_id), "campaign": cfg.display_label,
+                "reference": ref["name"], "reference_c_total": ref["c_total"],
+                "our_best": summary.best,
+                "closeness_percent": value,
+                "direction": closeness_direction(value),
+            })
     if close_rows:
         c_path = root / "closeness_sthe.csv"
         write_table_csv(c_path, close_rows)
         written.append(c_path)
-    elif published is None and any(cfg.is_sthe for cfg, _s in campaigns):
+    elif any(cfg.is_sthe for cfg, _s in campaigns):
         notices.append("exchanger campaigns present but none completed")
 
     lines = [f"# schema: {REPORT_SCHEMA}", ""]

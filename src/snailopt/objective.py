@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "BoundedProblem",

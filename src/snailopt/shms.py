@@ -51,9 +51,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
+from ._numpy import np
 from .objective import BoundedProblem, EvalCounter, evaluate
+from .stats import _pairwise_sum
 
 __all__ = [
     "LARGE_LD",
@@ -222,23 +222,6 @@ def fecundity_index(f0: float, f1: float, f2: float, rng: np.random.Generator) -
         if q != 0.0 and math.isfinite(q):
             return q
     return float(rng.random())
-
-
-def _pairwise_sum(v: list[float]) -> float:
-    """``float(np.sum(v))`` for a list: numpy's float64 summation order."""
-    n = len(v)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
-    total, end = 0.0, n - n % 8
-    if end:  # eight running sums, then a tree, then the tail
-        r = v[:8]
-        for i in range(8, end, 8):
-            r = [a + b for a, b in zip(r, v[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in v[end:]:
-        total += x
-    return total
 
 
 def selection_probabilities(values) -> list[float]:

@@ -14,17 +14,17 @@ workflow on per-problem result vectors:
 * :func:`friedman_ranks` — mean ranks across problems (ascending:
   rank 1 is best for minimization) plus the final ordering.
 
-Both need only midranks, computed in numpy, and the normal branch one
-tail probability, from :func:`math.erfc`; scipy is not needed at run
-time (the tests use ``scipy.stats`` as the oracle for both).
+Both need only midranks (exact halves, so rank sums are exact in any
+order) and the normal branch one tail probability, from :func:`math.erfc`:
+plain Python, no numpy or scipy (the tests use ``scipy.stats`` as the
+oracle).  :func:`_pairwise_sum` is numpy's float64 summation order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "FriedmanResult",
@@ -68,32 +68,58 @@ class FriedmanResult:
     """Mean ranks per algorithm and the implied ordering (1 = best)."""
 
     labels: tuple[str, ...]
-    mean_ranks: np.ndarray
-    ordering: np.ndarray  # ordering[j] = final rank of labels[j]
+    mean_ranks: tuple[float, ...]
+    ordering: tuple[int, ...]  # ordering[j] = final rank of labels[j]
 
 
-def _midranks(values) -> np.ndarray:
+def _pairwise_sum(v: list[float]) -> float:
+    """``float(np.sum(v))`` for a list: numpy's float64 summation order."""
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+    total, end = 0.0, n - n % 8
+    if end:  # eight running sums, then a tree, then the tail
+        r = v[:8]
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, v[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in v[end:]:
+        total += x
+    return total
+
+
+def _floats(values, ndim: int = 1) -> list:
+    """``values`` as (nested) lists of floats; ``ValueError`` unless ``ndim``-D."""
+    try:
+        if getattr(values, "ndim", ndim) == ndim:
+            return [_floats(v) if ndim == 2 else float(v) for v in values]
+    except TypeError:
+        pass
+    raise ValueError(f"expected a {ndim}-D sequence of numbers")
+
+
+def _midranks(values: list[float]) -> list[float]:
     """Ascending 1-based ranks; tied values share their mean position.
 
     Each tie group gets the mean of its first and last position, an
-    exact half in float64, so the result equals
-    ``scipy.stats.rankdata(values)`` bit for bit.  NaN has no rank and
-    raises ``ValueError``.
+    exact half, so the result equals ``scipy.stats.rankdata(values)``
+    bit for bit.  NaN has no rank and raises ``ValueError``.
     """
-    v = np.asarray(values, dtype=float)
-    if np.isnan(v).any():
+    if any(math.isnan(v) for v in values):
         raise ValueError("cannot rank NaN values")
-    order = np.argsort(v, kind="stable")
-    ascending = v[order]
-    new_group = np.concatenate(([True], ascending[1:] != ascending[:-1]))
-    first = np.flatnonzero(new_group)  # 0-based start of each tie group
-    last = np.append(first[1:], v.size)  # 1-based end of each tie group
-    ranks = np.empty(v.size)
-    ranks[order] = (0.5 * (first + 1 + last))[np.cumsum(new_group) - 1]
+    ranks = [0.0] * len(values)
+    first = 0  # 0-based start of the tie group
+    order = sorted(range(len(values)), key=values.__getitem__)
+    for _, group in itertools.groupby(order, key=values.__getitem__):
+        group = list(group)
+        for k in group:
+            ranks[k] = 0.5 * (first + 1 + first + len(group))
+        first += len(group)
     return ranks
 
 
-def _exact_two_sided_p(ranks: np.ndarray, t_low: float) -> float:
+def _exact_two_sided_p(ranks: list[float], t_low: float) -> float:
     """Exact two-sided p for the smaller rank sum ``t_low``.
 
     Counts sign assignments whose positive-rank sum is ≤ ``t_low``
@@ -129,27 +155,25 @@ def wilcoxon_signed_rank(a, b,
     result has ``n_nonzero == 0``, ``p_value == 1.0``, winner
     ``"no information"`` and method ``"none"``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
+    a, b = _floats(a), _floats(b)
+    if len(a) != len(b):
         raise ValueError("samples must be equal-length 1-D vectors")
-    if a.size < 5:
+    if len(a) < 5:
         raise ValueError("need at least 5 pairs")
-    d = a - b
-    d = d[d != 0.0]
-    n = int(d.size)
+    d = [v for v in (x - y for x, y in zip(a, b)) if v != 0.0]
+    n = len(d)
     if n == 0:
         return WilcoxonResult(0, 1.0, 0.0, 0.0, "no information", False, "none")
-    ranks = _midranks(np.abs(d))
-    t_plus = float(ranks[d > 0].sum())
-    t_minus = float(ranks[d < 0].sum())
+    ranks = _midranks([abs(v) for v in d])
+    t_plus = math.fsum(r for r, v in zip(ranks, d) if v > 0)
+    t_minus = math.fsum(r for r, v in zip(ranks, d) if v < 0)
     t_low = min(t_plus, t_minus)
     if n <= EXACT_LIMIT:
         p = _exact_two_sided_p(ranks, t_low)
         method = "exact"
     else:
         mu = n * (n + 1) / 4.0
-        sigma = math.sqrt(float(np.sum(ranks ** 2)) / 4.0)
+        sigma = math.sqrt(math.fsum(r * r for r in ranks) / 4.0)
         z = (t_low - mu + 0.5) / sigma  # continuity correction toward center
         # two-sided: 2 * Phi(z) = erfc(-z / sqrt(2))
         p = min(1.0, math.erfc(-z / math.sqrt(2.0)))
@@ -171,18 +195,19 @@ def friedman_ranks(mean_matrix, labels=None) -> FriedmanResult:
     are averaged over problems and the final ordering sorts ascending
     mean rank (stable: earlier column wins exact ties).
     """
-    m = np.asarray(mean_matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] < 2:
+    m = _floats(mean_matrix, 2)
+    if len(m) < 2 or len(m[0]) < 2 or any(len(row) != len(m[0]) for row in m):
         raise ValueError("need a problems x algorithms matrix, at least 2x2")
     if labels is None:
-        labels = tuple(f"alg{j}" for j in range(m.shape[1]))
+        labels = tuple(f"alg{j}" for j in range(len(m[0])))
     labels = tuple(labels)
-    if len(labels) != m.shape[1]:
+    if len(labels) != len(m[0]):
         raise ValueError("one label per column required")
-    row_ranks = np.vstack([_midranks(row) for row in m])
-    mean_ranks = row_ranks.mean(axis=0)
-    order = np.argsort(mean_ranks, kind="stable")
-    ordering = np.empty(len(labels), dtype=int)
-    ordering[order] = np.arange(1, len(labels) + 1)
+    row_ranks = [_midranks(row) for row in m]
+    mean_ranks = tuple(math.fsum(col) / len(m) for col in zip(*row_ranks))
+    order = sorted(range(len(labels)), key=mean_ranks.__getitem__)
+    ordering = [0] * len(labels)
+    for rank, j in enumerate(order, 1):
+        ordering[j] = rank
     return FriedmanResult(labels=labels, mean_ranks=mean_ranks,
-                          ordering=ordering)
+                          ordering=tuple(ordering))

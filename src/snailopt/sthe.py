@@ -52,8 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .data import load
 from .objective import BoundedProblem
 

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from snailopt.harness import CampaignConfig, summarize
 from snailopt.objective import BoundedProblem, EvalCounter
 from snailopt.shms import (FLOAT_MOVE_DIM, Anchor, ColonyState, ShmsConfig,
-                           SnailState, _pairwise_sum, _trail_floats,
-                           roulette_select, selection_probabilities,
-                           trail_following_update)
+                           SnailState, _trail_floats, roulette_select,
+                           selection_probabilities, trail_following_update)
+from snailopt.stats import _pairwise_sum
 
 
 # the numpy versions these functions had before they moved to lists
@@ -48,6 +49,31 @@ def test_pairwise_sum_is_numpys_sum():
             assert _pairwise_sum(list(v)) == float(v.sum()), n
             w = 10.0 ** rng.uniform(-20.0, 20.0, n)     # one sign: no cancellation
             assert _pairwise_sum(w.tolist()) == float(w.sum()), n
+
+
+def signed(magnitude):
+    return st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@given(st.lists(signed(st.floats(min_value=1e-20, max_value=1e20)),
+                min_size=1, max_size=300),
+       st.floats(min_value=-1e3, max_value=1e3))
+def test_summary_statistics_are_numpys_bit_for_bit(finals, offset):
+    # finals of every magnitude, and near-identical ones around an offset
+    # (where round-off can push a mean past the extremes)
+    for sample in (finals, [offset + v * 1e-30 for v in finals]):
+        records = [{"final_f": v, "evals": 17 * k + 3, "wall_time": v * 1e-3}
+                   for k, v in enumerate(sample)]
+        got = summarize(CampaignConfig(problem="F16"), records)
+        arr = np.array(sample)
+        best, worst = float(arr.min()), float(arr.max())
+        want = (best, worst, min(max(float(arr.mean()), best), worst),
+                float(arr.std()),
+                float(np.mean([float(r["evals"]) for r in records])),
+                float(np.mean([r["wall_time"] for r in records])))
+        assert [v.hex() for v in (got.best, got.worst, got.mean, got.std,
+                                  got.avg_evals, got.avg_wall_time)] == \
+            [v.hex() for v in want]
 
 
 # ---------------------------------------------------------------------------

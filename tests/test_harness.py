@@ -543,21 +543,29 @@ def test_unreadable_summary_is_reported_not_fatal(tmp_path):
 
 
 def test_nonpositive_exchanger_cost_is_reported_not_fatal(tmp_path, capsys):
-    # a hand-edited but self-consistent record: a cost below zero has no
-    # closeness, so that campaign's rows are skipped with a note
-    out = tmp_path / "sthe1"
-    run_campaign(CampaignConfig(problem="sthe1", trials=2, max_evals=300,
-                                out_dir=str(out)))
+    # a hand-edited but self-consistent record: an exchanger cost below
+    # zero is impossible, so that campaign is skipped with a notice and
+    # enters neither the summary lines nor any table
+    for label in ("damaged", "intact"):
+        run_campaign(CampaignConfig(problem="sthe1", trials=5, max_evals=300,
+                                    label=label, out_dir=str(tmp_path / label)))
+    out = tmp_path / "damaged"
     trial = json.loads((out / "trial_000.json").read_text())
     summary = json.loads((out / "summary.json").read_text())
     trial["final_f"] = summary["finals"][0] = -5.0
     (out / "trial_000.json").write_text(json.dumps(trial))
     (out / "summary.json").write_text(json.dumps(summary))
     assert cli.main(["report", "--in", str(tmp_path)]) == 0
-    assert "closeness_sthe.csv" not in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "closeness_sthe.csv" in printed
+    assert "wilcoxon_pairwise.csv" not in printed
     report = (tmp_path / "report.txt").read_text()
-    assert "note: sthe1: closeness rows skipped" in report
-    assert "none completed" not in report
+    assert (f"note: skipped {out / 'summary.json'}: "
+            "exchanger cost -5.0 is not positive") in report
+    assert "campaigns found: 1" in report
+    assert "  intact " in report and "damaged " not in report
+    rows = read_table_csv(tmp_path / "closeness_sthe.csv")
+    assert {r["campaign"] for r in rows} == {"intact"}
 
 
 def test_missing_trial_file_is_reported_not_fatal(tmp_path):
@@ -643,6 +651,67 @@ def test_runtime_never_imports_scipy(tmp_path):
     assert blocked.returncode == 0, blocked.stderr
     rows = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
     assert sorted(r["method"] for r in rows) == ["exact", "exact", "normal"]
+
+
+#: the last line a probe in a fresh interpreter prints
+NUMPY_MODULES = "print(sorted(m for m in sys.modules if m.startswith('numpy.')))"
+
+
+def test_cli_import_report_and_catalog_load_no_numpy(tmp_path):
+    # an exchanger campaign (closeness rows) and two on one problem (a
+    # signed-rank pair), so the report reaches every table it writes
+    for label, problem, seed in (("a", "F16", 1), ("b", "F16", 11),
+                                 ("s", "sthe1", 1)):
+        run_campaign(CampaignConfig(problem=problem, trials=5, max_evals=300,
+                                    base_seed=seed, label=label,
+                                    out_dir=str(tmp_path / label)))
+    for command in ("pass", "cli.main(['report', '--in', sys.argv[1]])",
+                    "cli.main(['catalog'])"):
+        proc = run_python(f"import sys\nfrom snailopt import cli\n{command}\n"
+                          + NUMPY_MODULES, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", command
+    assert (tmp_path / "wilcoxon_pairwise.csv").is_file()
+    assert (tmp_path / "closeness_sthe.csv").is_file()
+
+
+def test_missing_numpy_is_a_plain_import_error():
+    # numpy is bound lazily, yet a missing numpy still fails the import
+    # as it would without the lazy binding
+    proc = run_python("import importlib.util\n"
+                      "find_spec = importlib.util.find_spec\n"
+                      "importlib.util.find_spec = lambda name, *a: "
+                      "None if name == 'numpy' else find_spec(name, *a)\n"
+                      "import snailopt.cli")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == \
+        "ModuleNotFoundError: No module named 'numpy'"
+
+
+#: run in a fresh interpreter: is numpy loaded when the pool is set up?
+NUMPY_BEFORE_THE_POOL = """
+import multiprocessing, sys
+from snailopt.harness import CampaignConfig, run_campaign
+loaded = []
+real_get_context = multiprocessing.get_context
+
+def spy(method=None):
+    loaded.append(any(m.startswith("numpy.") for m in sys.modules))
+    return real_get_context(method)
+
+multiprocessing.get_context = spy
+cfg = CampaignConfig(problem="F16", trials=2, max_evals=300, out_dir=sys.argv[1])
+loaded.append(any(m.startswith("numpy.") for m in sys.modules))
+run_campaign(cfg, workers=2)
+print(loaded)
+"""
+
+
+def test_numpy_loads_before_the_pool_forks(tmp_path):
+    # each forked worker would otherwise import numpy on its own
+    proc = run_python(NUMPY_BEFORE_THE_POOL, str(tmp_path / "camp"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, True]"
 
 
 def test_cli_import_loads_no_pool_machinery():

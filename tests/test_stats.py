@@ -68,7 +68,7 @@ def _tied_samples():
                  id="signed-zeros"),
 ])
 def test_midranks_equal_scipy_rankdata_bit_for_bit(values):
-    got = _midranks(values)
+    got = np.asarray(_midranks(values))
     ref = rankdata(values)
     assert got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()
@@ -160,6 +160,10 @@ def test_input_validation():
         wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         wilcoxon_signed_rank([[1.0] * 5], [[0.0] * 5])
+    with pytest.raises(ValueError):  # 2-D, though each row holds one number
+        wilcoxon_signed_rank(np.ones((5, 1)), np.zeros((5, 1)))
+    with pytest.raises(ValueError):
+        wilcoxon_signed_rank([1.0, [2.0], 3.0, 4.0, 5.0], np.zeros(5))
 
 
 def test_matches_scipy_exact_on_tie_free_data():
@@ -248,7 +252,7 @@ def test_friedman_column_permutation_permutes_ranks():
     perm = [2, 0, 3, 1]
     base = friedman_ranks(m)
     shuffled = friedman_ranks(m[:, perm])
-    assert np.allclose(shuffled.mean_ranks, base.mean_ranks[perm])
+    assert np.allclose(shuffled.mean_ranks, np.asarray(base.mean_ranks)[perm])
     assert list(shuffled.ordering) == [int(base.ordering[j]) for j in perm]
 
 
@@ -272,6 +276,12 @@ def test_friedman_shape_and_label_validation():
         friedman_ranks([[1.0], [2.0]])
     with pytest.raises(ValueError):
         friedman_ranks([[1.0, 2.0], [3.0, 4.0]], labels=("only-one",))
+    with pytest.raises(ValueError):  # ragged
+        friedman_ranks([[1.0, 2.0], [3.0, 4.0, 5.0]])
+    with pytest.raises(ValueError):
+        friedman_ranks(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError):
+        friedman_ranks(3.0)
 
 
 # ---------------------------------------------------------------------------
