@@ -270,7 +270,10 @@ def default_budget(cfg: CampaignConfig, problem=None) -> int:
 def summarize(cfg: CampaignConfig, records: list[dict]) -> CampaignSummary:
     """Aggregate the completed trials' records (:func:`trial_record`);
     pure, so a summary re-derives exactly from the records on disk.  Mean
-    and std are numpy's, bit for bit, summed in numpy's order on floats."""
+    and std are numpy's, bit for bit, summed in numpy's order on floats.
+    Best and worst are Python's ``min``/``max``, which keep the first of
+    tied +0.0 and -0.0; numpy's choice follows no single rule (numpy
+    2.4: the last tie, except at n = 9, 17, 25, ...), so those may differ."""
     n = len(records)
     if not n:
         nan = float("nan")
@@ -299,18 +302,21 @@ def summarize(cfg: CampaignConfig, records: list[dict]) -> CampaignSummary:
 # artifact writers / readers
 # ---------------------------------------------------------------------------
 
-def write_atomic(path: Path, text: str) -> Path:
-    """Write ``text`` to ``path`` through a temporary file and a rename.
+def write_atomic(path: Path, text: str | typing.Iterable[str]) -> Path:
+    """Write ``text``, a string or an iterable of lines, to ``path``
+    through a temporary file and a rename.
 
-    The temporary file sits in the target directory (a rename does not
-    cross file systems) and carries the writer's pid (concurrent
-    writers never share one).  Readers see the old file or the whole
-    new one, and a failed write leaves neither a target nor a temporary
-    file behind.
+    Lines are written as they come, so a large file is never held
+    whole.  The temporary file sits in the target directory (a rename
+    does not cross file systems) and carries the writer's pid
+    (concurrent writers never share one).  Readers see the old file or
+    the whole new one, and a failed write (an exception from ``text``
+    too) leaves neither a target nor a temporary file behind.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, newline="")
+        with open(tmp, "w", newline="") as f:
+            f.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -363,7 +369,11 @@ class ScatterRecorder:
 
     Between recordings it keeps only the colony: ``run`` passes the same
     object on every call and changes nothing after the last one, so
-    :meth:`flush` reads the final state from it after the run.
+    :meth:`flush` reads the final state from it after the run.  Each row
+    ``(iteration, snail, home_id, x)`` holds the snail's own position
+    array, not a copy: positions are replaced, never mutated
+    (:class:`~snailopt.shms.SnailState`), so a snapshot keeps its values
+    and holds memory only for the arrays the colony has since replaced.
     """
 
     def __init__(self):
@@ -379,7 +389,7 @@ class ScatterRecorder:
         """Record the latest colony unless it is recorded already."""
         c = self._colony
         if c is not None and not (self.rows and self.rows[-1][0] == c.iteration):
-            self.rows.extend((c.iteration, j, s.home_id, *s.x.tolist())
+            self.rows.extend((c.iteration, j, s.home_id, s.x)
                              for j, s in enumerate(c.snails))
 
 
@@ -387,11 +397,10 @@ def write_scatter_csv(out: Path, i: int, recorder: ScatterRecorder,
                       dim: int) -> Path:
     path = out / f"scatter_{i:03d}.csv"
     cols = ",".join(f"x{d}" for d in range(dim))
-    lines = [f"# schema: {SCATTER_SCHEMA}", f"iteration,snail,home_id,{cols}"]
-    for row in recorder.rows:
-        it, j, home, *x = row
-        lines.append(f"{it},{j},{home}," + ",".join(repr(v) for v in x))
-    return write_atomic(path, "\n".join(lines) + "\n")
+    head = f"# schema: {SCATTER_SCHEMA}\niteration,snail,home_id,{cols}\n"
+    rows = (f"{it},{j},{home},{','.join(map(repr, x.tolist()))}\n"
+            for it, j, home, x in recorder.rows)
+    return write_atomic(path, itertools.chain((head,), rows))
 
 
 def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,

@@ -86,7 +86,7 @@ def _pairwise_sum(v: list[float]) -> float:
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for x in v[end:]:
         total += x
-    return total
+    return 0.0 + total  # numpy's sum of -0.0s is +0.0
 
 
 def _floats(values, ndim: int = 1) -> list:

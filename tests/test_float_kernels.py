@@ -7,6 +7,7 @@ same random draws, which is what keeps the golden trajectories.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,14 @@ def test_summary_statistics_are_numpys_bit_for_bit(finals, offset):
         assert [v.hex() for v in (got.best, got.worst, got.mean, got.std,
                                   got.avg_evals, got.avg_wall_time)] == \
             [v.hex() for v in want]
+    # signed zeros: numpy sums -0.0s to +0.0; best and worst stay Python's
+    # min/max, whose tie-break between +0.0 and -0.0 numpy does not share
+    for zeros in ([math.copysign(0.0, v) for v in finals], [-0.0] * len(finals)):
+        got = summarize(CampaignConfig(problem="F16"),
+                        [{"final_f": v, "evals": 1, "wall_time": 0.0} for v in zeros])
+        arr = np.array(zeros)
+        assert [got.mean.hex(), got.std.hex()] == \
+            [float(arr.mean()).hex(), float(arr.std()).hex()]
 
 
 # ---------------------------------------------------------------------------

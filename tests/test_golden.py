@@ -86,6 +86,23 @@ def test_scatter_csv_is_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == SCATTER_PIN
 
 
+# above FLOAT_MOVE_DIM the moves run on numpy arrays, which the recorder
+# keeps by reference: an engine that wrote into a snail's array in place
+# would rewrite the earlier snapshots
+NUMPY_SCATTER_PIN = "35e7323fc1ee5909a983f324efe22b3ed76c1146c358dfc59fa910d6e46a594d"
+
+
+def test_numpy_kernel_scatter_csv_is_pinned(tmp_path):
+    # 3003 evaluations end mid-iteration at iteration 115, so the final
+    # snapshot comes from flush()
+    cfg = CampaignConfig(problem="F1", dim=20, trials=1, base_seed=3,
+                         max_evals=3003, out_dir=str(tmp_path),
+                         export_scatter=True)
+    run_campaign(cfg)
+    data = (tmp_path / "scatter_000.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == NUMPY_SCATTER_PIN
+
+
 # sthe1-3 plus the case-1 "Original Study" profile: geometry area,
 # square pitch, pump efficiency 0.7 applied to the shell side too
 STHE_COST_PIN = "1d02401b1c9707e4c6eaae3e8b009149ae3e1f0485d13e833a9026ddd1aae45e"

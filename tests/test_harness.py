@@ -11,6 +11,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -398,6 +399,42 @@ def test_scatter_csv_export(tmp_path):
     assert lines[1] == "iteration,snail,home_id,x0,x1"
     first = lines[2].split(",")
     assert first[0] == "0" and len(first) == 5
+
+
+def test_scatter_export_holds_less_than_its_file(tmp_path):
+    # the recorder keeps the colony's own arrays and the CSV streams row by
+    # row; Python-float copies of the positions, or the file's text in
+    # one string, would each take more than the file itself
+    cfg = CampaignConfig(problem="F1", dim=500, trials=1, max_evals=6000,
+                         out_dir=str(tmp_path), export_trace=False,
+                         export_scatter=True)
+    tracemalloc.start()
+    try:
+        run_campaign(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "scatter_000.csv").stat().st_size
+    assert size > 2_000_000
+    assert peak < size, (peak, size)
+
+
+def test_an_interrupted_streamed_write_leaves_the_old_file(tmp_path):
+    def lines():
+        yield "a,b\n"
+        yield "1,2\n"
+        raise RuntimeError("row failed")
+
+    target = tmp_path / "table.csv"
+    with pytest.raises(RuntimeError, match="row failed"):
+        harness.write_atomic(tmp_path / "new.csv", lines())
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="row failed"):
+        harness.write_atomic(target, lines())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+    assert target.read_bytes() == b"old\n"
+    harness.write_atomic(target, iter(["x\n", "y\n"]))
+    assert target.read_bytes() == b"x\ny\n"
 
 
 # ---------------------------------------------------------------------------
