@@ -82,6 +82,7 @@ SUMMARY_SCHEMA = "snailopt.summary/1"
 TRACE_SCHEMA = "snailopt.trace/1"
 SCATTER_SCHEMA = "snailopt.scatter/1"
 REPORT_SCHEMA = "snailopt.report/1"
+CONFIG_SCHEMA = "snailopt.campaign_config/1"
 
 #: evaluation budgets used when the config leaves ``max_evals`` unset:
 #: benchmarks get a dimension-dependent default, the exchanger cases
@@ -190,13 +191,14 @@ class CampaignConfig:
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["schema"] = "snailopt.campaign_config/1"
+        d["schema"] = CONFIG_SCHEMA
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
         d = dict(d)
-        d.pop("schema", None)
+        if (schema := d.pop("schema", CONFIG_SCHEMA)) != CONFIG_SCHEMA:
+            raise ValueError(f"config key 'schema' must be {CONFIG_SCHEMA!r}; got {schema!r}")
         for key, why in RETIRED_SWITCHES.items():
             if d.pop(key, True) is not True:
                 raise ValueError(f"config key {key!r} is retired and only "
@@ -609,7 +611,10 @@ def generate_reports(results_dir) -> list[Path]:
     for key, group in sorted(groups.items()):
         finals = {}
         for idx, (label, run_finals) in enumerate(group):
-            finals[f"{label}#{idx}" if label in finals else label] = run_finals
+            name, k = label, idx
+            while name in finals:  # a repeated label, or one a suffix took
+                name, k = f"{label}#{k}", k + 1
+            finals[name] = run_finals
         for a, b in itertools.combinations(finals, 2):
             n = min(len(finals[a]), len(finals[b]))
             if n < 5:

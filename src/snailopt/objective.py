@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from ._numpy import np
@@ -74,6 +75,11 @@ class BoundedProblem:
     def width(self) -> np.ndarray:
         """Box edge lengths, ``upper - lower``."""
         return self.upper - self.lower
+
+    @cached_property
+    def bound_lists(self) -> tuple[list[float], list[float]]:
+        """``lower`` and ``upper`` as lists of Python floats, built once and shared."""
+        return self.lower.tolist(), self.upper.tolist()
 
 
 @dataclass

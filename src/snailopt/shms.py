@@ -37,10 +37,11 @@ All randomness flows through a single ``numpy.random.Generator`` seeded
 from the config, so runs are bit-reproducible.
 
 On a home's ten-odd values numpy's per-call overhead outweighs the
-arithmetic, so mating runs on Python floats, and so do candidate moves
-in up to ``FLOAT_MOVE_DIM`` dimensions: every fixed-dimension function
-and exchanger case (numpy wins from d of about 15-20).  Both repeat
-numpy's operations in numpy's order, so trajectories keep their bits.
+arithmetic, so mating runs on Python floats.  The move is one function,
+:func:`trail_following_update`; its arithmetic runs on Python floats up
+to ``FLOAT_MOVE_DIM`` dimensions (every fixed-dimension function and
+exchanger case; numpy wins from d of about 15-20) and on arrays above.
+Both repeat numpy's operations in numpy's order: the same bits.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ def init_colony(problem: BoundedProblem, cfg: ShmsConfig,
 
 def trail_following_update(snail: SnailState, colony: ColonyState,
                            problem: BoundedProblem, cfg: ShmsConfig,
-                           rng: np.random.Generator) -> np.ndarray:
+                           rng: np.random.Generator) -> np.ndarray | None:
     """Draw one candidate position for ``snail`` (clamped to the box).
 
     The snail follows the strongest trail in the colony — the one laid
@@ -347,31 +348,20 @@ def trail_following_update(snail: SnailState, colony: ColonyState,
     — the snail changed homes, not necessarily fortunes.  Callers can
     detect emigration by comparing ``snail.home_id`` before and after.
 
-    The candidate is a fresh array, built and clamped in place; neither
-    ``snail.x`` nor the best position is touched.
+    Returns ``None`` when the candidate needs no evaluation: it equals
+    the snail's position, or, for a snail that did not emigrate, the
+    best position (already evaluated).  Otherwise the candidate is a
+    fresh array; neither ``snail.x`` nor the best position is touched.
     """
     # one draw for the switch uniform and the dim trail uniforms: PCG64
     # yields the same doubles as a scalar draw followed by a vector draw
     r = rng.random(problem.dim + 1)
     switch = r[0] < cfg.home_switch_prob and cfg.homes > 1
     if not switch and snail.ld_norm == 0.0:
-        # a zero half-width reproduces the best position, which the
-        # caller discards unevaluated: skip the vector passes
-        return colony.global_best.x.copy()
-    u = r[1:]
-    u *= 2.0
-    u -= 1.0
-    best = colony.global_best.x
-    y = np.subtract(snail.x, best)
-    np.abs(y, out=y)
-    y *= snail.ld_norm
-    y *= u
-    y += best
-    if switch:
-        d, y[d] = _emigrate(snail, colony, cfg, rng)
-    # maximum-then-minimum is what np.clip computes, without its wrapper
-    np.maximum(y, problem.lower, out=y)
-    return np.minimum(y, problem.upper, out=y)
+        return None  # a zero half-width reproduces the best position
+    redraw = _emigrate(snail, colony, cfg, rng) if switch else None
+    kernel = _trail_floats if problem.dim <= FLOAT_MOVE_DIM else _trail_array
+    return kernel(snail.x, colony.global_best.x, snail.ld_norm, r, problem, redraw)
 
 
 def _emigrate(snail: SnailState, colony: ColonyState, cfg: ShmsConfig,
@@ -385,24 +375,43 @@ def _emigrate(snail: SnailState, colony: ColonyState, cfg: ShmsConfig,
     return d, float(colony.home_anchor[k].x[d] + colony.c[d] * (2.0 * rng.random() - 1.0))
 
 
-def _trail_floats(snail: SnailState, x: list[float], best: list[float],
-                  lower: list[float], upper: list[float], colony: ColonyState,
-                  cfg: ShmsConfig, rng: np.random.Generator) -> list[float]:
-    """:func:`trail_following_update` on lists of floats: the same draws
-    and operations, so the same bits (returning ``best`` itself for its
-    copy).  Like np.maximum/np.minimum, the clip keeps the bound on a tie."""
-    r = rng.random(len(x) + 1).tolist()
-    switch = r[0] < cfg.home_switch_prob and cfg.homes > 1
-    ld = snail.ld_norm
-    if not switch and ld == 0.0:
-        return best
+def _trail_array(x: np.ndarray, best: np.ndarray, ld: float, r: np.ndarray,
+                 problem: BoundedProblem, redraw: tuple | None) -> np.ndarray | None:
+    """The move's arithmetic from the uniforms ``r[1:]``, the emigrant's
+    ``(d, value)`` set before the clip; writes none of its arguments."""
+    u = r[1:] * 2.0
+    u -= 1.0
+    y = np.subtract(x, best)
+    np.abs(y, out=y)
+    y *= ld
+    y *= u
+    y += best
+    if redraw is not None:
+        d, y[d] = redraw
+    # maximum-then-minimum is what np.clip computes, without its wrapper
+    np.maximum(y, problem.lower, out=y)
+    np.minimum(y, problem.upper, out=y)
+    # count_nonzero of != is np.array_equal at half the call overhead
+    if not np.count_nonzero(y != x) or (redraw is None and not np.count_nonzero(y != best)):
+        return None
+    return y
+
+
+def _trail_floats(x: np.ndarray, best: np.ndarray, ld: float, r: np.ndarray,
+                  problem: BoundedProblem, redraw: tuple | None) -> np.ndarray | None:
+    """:func:`_trail_array` on lists of floats, in numpy's order: the same bits.
+    Like np.maximum/np.minimum, the clip keeps the bound on a tie."""
+    x, best = x.tolist(), best.tolist()
+    lower, upper = problem.bound_lists
     # one pass: the trail draw, then the clip (maximum, then minimum)
     y = [(v if v < hi else hi) if (v := abs(a - b) * ld * (2.0 * u - 1.0) + b) > lo else lo
-         for a, b, u, lo, hi in zip(x, best, r[1:], lower, upper)]
-    if switch:
-        d, v = _emigrate(snail, colony, cfg, rng)
+         for a, b, u, lo, hi in zip(x, best, r.tolist()[1:], lower, upper)]
+    if redraw is not None:
+        d, v = redraw
         y[d] = (v if v < upper[d] else upper[d]) if v > lower[d] else lower[d]
-    return y
+    if y == x or (redraw is None and y == best):
+        return None
+    return np.array(y)
 
 
 def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
@@ -413,10 +422,9 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
     order, so a run is fully determined by the seed.  Per home: compute
     fecundity indices, roulette-select the fecund snail, compute and
     normalize love darts (:func:`normalize_ld`), then move every snail
-    except the fecund one.  Emigration moves are always accepted;
-    trail-following moves only if they do not get worse.  Candidates
-    equal to the snail's position, or (for a non-emigrating snail) to
-    the already-evaluated best position, are discarded unevaluated.
+    except the fecund one (:func:`trail_following_update`, whose
+    ``None`` skips the evaluation).  Emigration moves are always
+    accepted; trail-following moves only if they do not get worse.
 
     The evaluation budget is checked before each home's mating and
     before every move: once it is spent the iteration stops, leaving
@@ -424,10 +432,6 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
     its turn, so snails that emigrated from an earlier home this
     iteration mate and move again there.
     """
-    floats = problem.dim <= FLOAT_MOVE_DIM
-    if floats:
-        lower, upper = problem.lower.tolist(), problem.upper.tolist()
-        best_x = colony.global_best.x.tolist()
     for h in range(cfg.homes):
         if colony.counter.count >= cfg.max_evals:
             break
@@ -445,32 +449,16 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
                 break
             s.ld_norm = ld
             home_before = s.home_id
-            if floats:
-                x = s.x.tolist()
-                y_list = _trail_floats(s, x, best_x, lower, upper, colony, cfg, rng)
-                switched = s.home_id != home_before
-                if y_list == x or (not switched and y_list == best_x):
-                    continue
-                y = np.array(y_list)
-            else:
-                y = trail_following_update(s, colony, problem, cfg, rng)
-                switched = s.home_id != home_before
-                # count_nonzero of != is np.array_equal for same-shape arrays
-                # at half the call overhead (coordinates collapse onto the
-                # best position, so a first-coordinate shortcut rarely decides)
-                if not np.count_nonzero(y != s.x):
-                    continue
-                if not switched and not np.count_nonzero(y != colony.global_best.x):
-                    continue
+            y = trail_following_update(s, colony, problem, cfg, rng)
+            if y is None:
+                continue
             fy = evaluate(problem, y, colony.counter)
-            if switched or fy <= s.f:
+            if s.home_id != home_before or fy <= s.f:
                 s.x = y
                 s.f = fy
                 if fy <= colony.global_best.f:
                     # positions are replaced, never mutated: y can be shared
                     colony.global_best = Anchor(x=y, f=fy)
-                    if floats:
-                        best_x = y_list
 
     # one pass: histories shift, each home's first lowest snail is found
     home_best: dict[int, SnailState] = {}

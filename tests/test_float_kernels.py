@@ -3,10 +3,10 @@
 The per-home mating bookkeeping and the candidate move at low dimension
 run on Python floats (see the ``snailopt.shms`` docstring).  These
 properties check that they give the same bits as numpy and consume the
-same random draws, which is what keeps the golden trajectories.
+same random draws, which is what keeps the golden trajectories.  The two
+move kernels draw nothing, so they are compared on the same inputs.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -15,10 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from snailopt.harness import CampaignConfig, summarize
-from snailopt.objective import BoundedProblem, EvalCounter
-from snailopt.shms import (FLOAT_MOVE_DIM, Anchor, ColonyState, ShmsConfig,
-                           SnailState, _trail_floats, roulette_select,
-                           selection_probabilities, trail_following_update)
+from snailopt.objective import BoundedProblem
+from snailopt.shms import (FLOAT_MOVE_DIM, _trail_array, _trail_floats,
+                           roulette_select, selection_probabilities)
 from snailopt.stats import _pairwise_sum
 
 
@@ -146,61 +145,78 @@ def test_mating_on_colony_sized_homes():
 BOXES = [(-5.0, 5.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 100.0)]
 
 
-def colony_for(dim, lo, hi, rng):
-    """Three homes of three snails, some on a bound, one on the best."""
+def move_inputs(dim, lo, hi, edge, rng):
+    """A box, a best and nine positions: some on a bound, one on the best,
+    one on the best but for coordinate 0.  The best has coordinate 0, and
+    some others, on ``edge``, or lies inside the box when it is None."""
     problem = BoundedProblem(name="box", dim=dim, lower=np.full(dim, lo),
                              upper=np.full(dim, hi), func=lambda x: 0.0)
-    snails = []
+    xs = []
     for i in range(9):
         x = lo + rng.random(dim) * (hi - lo)
         if i % 3 == 1:
             x[rng.random(dim) < 0.5] = rng.choice([lo, hi])
-        snails.append(SnailState(x=x, f=float(i), f_hist=(i, i, i), home_id=i % 3))
-    best = snails[0].x.copy()
-    best[rng.random(dim) < 0.3] = rng.choice([lo, hi])   # bests near the edges
-    snails[3].x = best.copy()                             # a snail on the best
-    return problem, ColonyState(
-        snails=snails,
-        home_anchor=[Anchor(x=s.x.copy(), f=s.f) for s in snails[:3]],
-        global_best=Anchor(x=best, f=-1.0),
-        c=0.3 * problem.width,
-        iteration=0,
-        counter=EvalCounter(),
-    )
+        xs.append(x)
+    best = xs[0].copy()
+    if edge is not None:
+        best[0] = edge
+        best[rng.random(dim) < 0.3] = edge
+    xs[3] = best.copy()                                   # a snail on the best
+    xs[5] = best.copy()
+    xs[5][0] = lo + (hi - lo) * float(rng.random())
+    return problem, xs, best
 
 
-def both_kernels(problem, colony, snail_index, cfg, seed):
-    """Run each kernel on its own copy of the colony from the same stream."""
-    col_a, col_b = copy.deepcopy(colony), copy.deepcopy(colony)
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    y = trail_following_update(col_a.snails[snail_index], col_a, problem, cfg, rng_a)
-    s = col_b.snails[snail_index]
-    y_list = _trail_floats(s, s.x.tolist(), col_b.global_best.x.tolist(),
-                           problem.lower.tolist(), problem.upper.tolist(),
-                           col_b, cfg, rng_b)
-    assert all(type(v) is float for v in y_list)
-    assert np.array(y_list).tobytes() == y.tobytes()          # bitwise, signed zeros too
-    assert s.home_id == col_a.snails[snail_index].home_id
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+def both_kernels(x, best, ld, r, problem, redraw):
+    """Run the two kernels on the same inputs: the same bytes (signed
+    zeros too), or ``None`` from both; neither writes its inputs."""
+    before = [a.tobytes() for a in (x, best, r)]
+    y = _trail_array(x, best, ld, r, problem, redraw)
+    y_floats = _trail_floats(x, best, ld, r, problem, redraw)
+    assert [a.tobytes() for a in (x, best, r)] == before
+    if y is None:
+        assert y_floats is None
+    else:
+        assert y_floats is not None and y_floats.tobytes() == y.tobytes()
+        assert y is not x and y is not best
     return y
 
 
 @pytest.mark.parametrize("dim", range(1, FLOAT_MOVE_DIM + 3))
 @pytest.mark.parametrize("switch_prob", [0.0, 0.5, 1.0])
 def test_float_move_equals_the_numpy_move(dim, switch_prob):
+    # switch_prob is the share of moves that carry an emigrant's redraw
     rng = np.random.default_rng(dim)
-    cfg = ShmsConfig(homes=3, home_switch_prob=switch_prob)
-    clipped = {"lower": 0, "upper": 0}
-    for lo, hi in BOXES:
-        problem, colony = colony_for(dim, lo, hi, rng)
-        for i, snail in enumerate(colony.snails):
+    seen = dict.fromkeys(["past lower", "past upper", "None, snail on the best",
+                          "None, trail to the best", "None, emigrant back at x",
+                          "emigrant kept at the best"], 0)
+    for lo, hi, edge in [(lo, hi, edge) for lo, hi in BOXES for edge in (lo, hi, None)]:
+        problem, xs, best = move_inputs(dim, lo, hi, edge, rng)
+        for i, x in enumerate(xs):
+            d = 0 if i == 5 else int(rng.integers(dim))
+            # redraws in the box, past either bound, on a bound, and on
+            # the best's or the snail's own coordinate
+            span = (hi - lo) * float(rng.random())
+            values = (lo + span, lo - span, hi + span, lo, hi, float(best[d]), float(x[d]))
             for ld in (0.0, 1.0, float(rng.random())):
-                snail.ld_norm = ld
-                y = both_kernels(problem, colony, i, cfg, int(rng.integers(2**32)))
-                clipped["lower"] += int(np.sum(y == lo))
-                clipped["upper"] += int(np.sum(y == hi))
-    # ld = 1 around a best on an edge overshoots both bounds
-    assert clipped["lower"] > 0 and clipped["upper"] > 0
+                for v in values:
+                    redraw = (d, v) if rng.random() < switch_prob else None
+                    r = rng.random(dim + 1)
+                    trail = np.abs(x - best) * ld * (2.0 * r[1:] - 1.0) + best
+                    seen["past lower"] += int(np.sum(trail < lo))
+                    seen["past upper"] += int(np.sum(trail > hi))
+                    y = both_kernels(x, best, ld, r, problem, redraw)
+                    if y is None:
+                        seen["None, snail on the best" if np.array_equal(x, best) else
+                             "None, trail to the best" if redraw is None else
+                             "None, emigrant back at x"] += 1
+                    else:
+                        seen["emigrant kept at the best"] += np.array_equal(y, best)
+    # ld = 1 around a best on an edge overshoots that bound, and every
+    # discard rule, and the emigrant's exemption from one, is reached
+    unreachable = {0.0: {"None, emigrant back at x", "emigrant kept at the best"},
+                   1.0: {"None, trail to the best"}}.get(switch_prob, set())
+    assert {k for k, n in seen.items() if n} == set(seen) - unreachable, seen
 
 
 @pytest.mark.parametrize("lo, hi", [(-1.0, 0.0), (0.0, 1.0)])
@@ -208,9 +224,10 @@ def test_float_move_clips_signed_zeros_like_numpy(lo, hi):
     # -0.0 against a bound at 0.0 is the one tie where the clip's
     # comparison direction shows in the bits
     for seed in range(20):
-        problem, colony = colony_for(3, lo, hi, np.random.default_rng(seed))
-        colony.global_best.x[:] = -0.0
-        for i, snail in enumerate(colony.snails):
-            snail.x = np.where(np.arange(3) == 0, -0.0, snail.x)
-            snail.ld_norm = 0.5
-            both_kernels(problem, colony, i, ShmsConfig(homes=3, home_switch_prob=0.5), seed)
+        rng = np.random.default_rng(seed)
+        problem, xs, best = move_inputs(3, lo, hi, None, rng)
+        best[:] = -0.0
+        for x in xs:
+            x = np.where(np.arange(3) == 0, -0.0, x)
+            for redraw in (None, (0, -0.0), (1, 0.0)):
+                both_kernels(x, best, 0.5, rng.random(4), problem, redraw)

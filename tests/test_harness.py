@@ -32,6 +32,7 @@ from snailopt.harness import (BENCHMARK_BUDGET_LARGE, BENCHMARK_BUDGET_SMALL,
                               run_campaign)
 from snailopt.objective import (BoundedProblem, EvalCounter, NonFiniteObjective,
                                 evaluate)
+from snailopt.stats import wilcoxon_signed_rank
 from snailopt.sthe import DomainError, evaluate_design, make_case
 from table_io import read_table_csv
 
@@ -470,6 +471,23 @@ def test_reports_for_overlapping_campaigns(tmp_path):
     assert "seed-7" in text and "seed-99" in text
 
 
+def test_reports_name_repeated_labels_apart(tmp_path):
+    # the third "a" must not take the name "a#2" that a campaign holds
+    finals = {}
+    for name, label, seed in (("c1", "a", 1), ("c2", "a#2", 11), ("c3", "a", 21)):
+        run_campaign(small_cfg(tmp_path / name, label=label, base_seed=seed, trials=6))
+        finals[name] = read_summary(tmp_path / name / "summary.json")["finals"]
+    generate_reports(tmp_path)
+    rows = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
+    assert [(row["a"], row["b"]) for row in rows] == [("a", "a#2"), ("a", "a#3"), ("a#2", "a#3")]
+    column = {"a": finals["c1"], "a#2": finals["c2"], "a#3": finals["c3"]}
+    for row in rows:
+        want = wilcoxon_signed_rank(column[row["a"]], column[row["b"]],
+                                    labels=(row["a"], row["b"]))
+        assert row == {"problem": "F16-d2", "a": row["a"], "b": row["b"],
+                       **dataclasses.asdict(want)}
+
+
 def test_reports_closeness_for_exchanger_campaigns(tmp_path):
     cfg = small_cfg(tmp_path / "sthe", problem="sthe1", trials=2,
                     max_evals=600, label="exchanger")
@@ -555,6 +573,9 @@ def damaged_summaries(payload):
         "not-an-object": "[]",
         "record-file-not-a-name": json.dumps({**payload, "record_files": [5]}),
         "config-not-an-object": json.dumps({**payload, "config": [1, 2]}),
+        "config-foreign-schema": json.dumps(
+            {**payload, "config": {**payload["config"],
+                                   "schema": "snailopt.campaign_config/9"}}),
         "finals-missing": json.dumps({k: v for k, v in payload.items()
                                       if k != "finals"}),
         "finals-tampered": json.dumps({**payload, "finals": tampered}),
@@ -785,6 +806,8 @@ BAD_CONFIGS = {
     "{\n": "job.json: Expecting property name",
     '{"engine": {"stagnation_tol": NaN}}': "stagnation_tol",
 }
+#: refused after the cases above, so that they keep their ids
+FOREIGN_CONFIGS = {'{"schema": "snailopt.campaign_config/9"}': "'schema'"}
 
 
 @pytest.mark.parametrize("flags", [
@@ -796,10 +819,11 @@ BAD_CONFIGS = {
     *(["--config", text] for text in BAD_CONFIGS),
     ["--problem", "F16", "--neighborhood-frac", "inf"],
     ["--problem", "F16", "--seed", "-1"],
+    *(["--config", text] for text in FOREIGN_CONFIGS),
 ])
 def test_cli_refuses_a_bad_campaign_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "camp"
-    named = BAD_CONFIGS.get(flags[-1], "")
+    named = {**BAD_CONFIGS, **FOREIGN_CONFIGS}.get(flags[-1], "")
     if named:
         conf = tmp_path / "job.json"
         conf.write_text(flags[-1])
