@@ -36,6 +36,7 @@ from typing import Callable
 
 from ._numpy import np
 from .objective import BoundedProblem
+from .stats import _pairwise_sum
 
 __all__ = [
     "BenchmarkSpec",
@@ -135,48 +136,65 @@ def _penalized2(x):
 
 
 # The fixed-dimension functions below take their constant tables, as
-# arrays, before ``x``; make_benchmark builds the arrays per problem, so
-# importing the catalog loads no numpy.
+# lists, before ``x``; make_benchmark binds them.  F15-F23 compute on
+# ``x.tolist()`` and repeat the numpy formulation's operations in its
+# order, so their values are numpy's bit for bit: an array's ``** 2`` is
+# ``t * t`` while a scalar's is ``pow`` (Python's ``**``), a reduction of
+# up to seven terms adds left to right, a longer one goes through
+# ``_pairwise_sum``, and the builtin ``sum`` (compensated from Python
+# 3.12) is never used.  F14 stays on numpy (libm ``pow`` is not numpy's
+# array ``power``), and so does Hartman's ``exp`` (``math.exp`` is not
+# numpy's SIMD ``exp``).
 _FOX_GRID = [-32.0, -16.0, 0.0, 16.0, 32.0]
 _FOX = ([float(j) for j in range(1, 26)], _FOX_GRID * 5,
         [g for g in _FOX_GRID for _ in range(5)])
 
 
 def _foxholes(j, a1, a2, x):
+    """Takes its tables as arrays (see make_benchmark)."""
     denom = j + (x[0] - a1) ** 6 + (x[1] - a2) ** 6
     return float(1.0 / (1.0 / 500.0 + np.sum(1.0 / denom)))
 
 
+_KOWALIK_B = [1.0 / v for v in (0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)]
 _KOWALIK = ([0.1957, 0.1947, 0.1735, 0.16, 0.0844, 0.0627,
              0.0456, 0.0342, 0.0323, 0.0235, 0.0246],
-            [1.0 / v for v in (0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)])
+            _KOWALIK_B, [b * b for b in _KOWALIK_B])
 
 
-def _kowalik(a, b, x):
-    num = x[0] * (b ** 2 + b * x[1])
-    den = b ** 2 + b * x[2] + x[3]
-    return float(np.sum((a - num / den) ** 2))
+def _kowalik(a, b, bb, x):
+    x0, x1, x2, x3 = x.tolist()
+    terms = []
+    for ai, bi, bbi in zip(a, b, bb):
+        num = x0 * (bbi + bi * x1)
+        den = bbi + bi * x2 + x3
+        if den:
+            t = ai - num / den
+            terms.append(t * t)
+        else:  # numpy's num / 0 is +-inf, and 0 / 0 is nan
+            terms.append(math.inf if num else math.nan)
+    return _pairwise_sum(terms)
 
 
 def _camel6(x):
-    x1, x2 = x[0], x[1]
-    return float((4.0 - 2.1 * x1 ** 2 + x1 ** 4 / 3.0) * x1 ** 2
-                 + x1 * x2 + (-4.0 + 4.0 * x2 ** 2) * x2 ** 2)
+    x1, x2 = x.tolist()
+    return ((4.0 - 2.1 * x1 ** 2 + x1 ** 4 / 3.0) * x1 ** 2
+            + x1 * x2 + (-4.0 + 4.0 * x2 ** 2) * x2 ** 2)
 
 
 def _branin(x):
-    x1, x2 = x[0], x[1]
-    return float((x2 - 5.1 * x1 ** 2 / (4.0 * np.pi ** 2) + 5.0 * x1 / np.pi - 6.0) ** 2
-                 + 10.0 * (1.0 - 1.0 / (8.0 * np.pi)) * np.cos(x1) + 10.0)
+    x1, x2 = x.tolist()
+    return ((x2 - 5.1 * x1 ** 2 / (4.0 * math.pi ** 2) + 5.0 * x1 / math.pi - 6.0) ** 2
+            + 10.0 * (1.0 - 1.0 / (8.0 * math.pi)) * math.cos(x1) + 10.0)
 
 
 def _goldstein_price(x):
-    x1, x2 = x[0], x[1]
+    x1, x2 = x.tolist()
     a = 1.0 + (x1 + x2 + 1.0) ** 2 * (19.0 - 14.0 * x1 + 3.0 * x1 ** 2
                                       - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2 ** 2)
     b = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (18.0 - 32.0 * x1 + 12.0 * x1 ** 2
                                              + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2 ** 2)
-    return float(a * b)
+    return a * b
 
 
 _H_C = [1.0, 1.2, 3.0, 3.2]
@@ -201,8 +219,18 @@ _H6 = ([[10.0, 3.0, 17.0, 3.5, 1.7, 8.0],
 
 
 def _hartman(a, p, c, x):
-    inner = np.sum(a * (x - p) ** 2, axis=1)
-    return float(-np.sum(c * np.exp(-inner)))
+    x = x.tolist()
+    exponents = []
+    for ai, pi in zip(a, p):
+        s = 0.0
+        for aij, pij, xj in zip(ai, pi, x):
+            t = xj - pij
+            s += aij * (t * t)
+        exponents.append(-s)
+    s = 0.0
+    for ci, e in zip(c, np.exp(exponents).tolist()):
+        s += ci * e
+    return -s
 
 
 _SHEKEL_A = [[4.0, 4.0, 4.0, 4.0],
@@ -219,8 +247,12 @@ _SHEKEL_C = [0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5]
 
 
 def _shekel(a, c, x):
-    d = a - x
-    return float(-np.sum(1.0 / (np.sum(d * d, axis=1) + c)))
+    x0, x1, x2, x3 = x.tolist()
+    terms = []
+    for (a0, a1, a2, a3), ci in zip(a, c):
+        d0, d1, d2, d3 = a0 - x0, a1 - x1, a2 - x2, a3 - x3
+        terms.append(1.0 / (d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 + ci))
+    return -_pairwise_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +267,8 @@ class BenchmarkSpec:
     symmetry): for scalable functions a per-coordinate value broadcast
     to the requested dimension, for fixed-dimension functions the full
     vector.  ``f_min_per_dim`` marks minima that scale linearly with
-    the dimension (only F8).  ``func`` takes the ``tables``, as arrays,
-    before ``x``; :func:`make_benchmark` binds them.
+    the dimension (only F8).  ``func`` takes the ``tables`` before
+    ``x``; :func:`make_benchmark` binds them.
     """
 
     fid: str
@@ -341,7 +373,8 @@ def make_benchmark(fid: str, dim: int | None = None,
     n = _resolve_dim(spec, dim)
     func = spec.func
     if spec.tables:
-        func = functools.partial(func, *(np.array(t) for t in spec.tables))
+        tables = map(np.array, spec.tables) if fid == "F14" else spec.tables
+        func = functools.partial(func, *tables)
     if fid == "F7" and noise_rng is not None:
         def func(x, _base=spec.func, _rng=noise_rng):
             return _base(x) + float(_rng.uniform())

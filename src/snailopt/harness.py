@@ -247,7 +247,8 @@ class CampaignSummary:
 
 
 def resolve_problem(cfg: CampaignConfig) -> BoundedProblem:
-    """Instantiate the problem a config refers to."""
+    """Instantiate the problem a config refers to (F7 noise-free; a
+    campaign's trials add the noise, see :func:`run_trial`)."""
     if cfg.is_sthe:
         return make_problem(int(cfg.problem[-1]))
     return make_benchmark(cfg.problem, cfg.dim)
@@ -405,6 +406,17 @@ def write_scatter_csv(out: Path, i: int, recorder: ScatterRecorder,
     return write_atomic(path, itertools.chain((head,), rows))
 
 
+def provenance() -> dict:
+    """What a campaign's bits rest on: the objectives compute on CPython
+    floats, libm ``pow`` and numpy's SIMD ``exp``/``power``, so results
+    are bitwise only for the same versions and machine."""
+    import platform
+
+    from . import __version__
+    return {"snailopt": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "machine": platform.machine()}
+
+
 def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,
                   records: list[dict], failures: list[dict]) -> Path:
     payload = {
@@ -414,6 +426,7 @@ def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,
         "finals": [r["final_f"] for r in records],
         "record_files": [TRIAL_FILE.format(r["trial"]) for r in records],
         "failures": failures,
+        "provenance": provenance(),
     }
     return write_atomic(out / "summary.json", json.dumps(payload, indent=1))
 
@@ -450,8 +463,15 @@ def run_trial(cfg: CampaignConfig, i: int) -> dict:
     "error"}`` when the objective turned non-finite (no file is written
     then).  Any other exception propagates.
     """
-    problem = resolve_problem(cfg)
     seed = cfg.base_seed + i
+    if cfg.problem == "F7":
+        # the published F7's uniform [0, 1) noise, from a stream of its own:
+        # a child of SeedSequence(seed), so independent of the engine's
+        # default_rng(seed), and replayed by the same config
+        noise = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        problem = make_benchmark("F7", cfg.dim, noise_rng=noise)
+    else:
+        problem = resolve_problem(cfg)
     shms_cfg = ShmsConfig(max_evals=default_budget(cfg), seed=seed,
                           **cfg.engine)
     recorder = ScatterRecorder() if cfg.export_scatter else None

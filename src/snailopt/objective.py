@@ -48,7 +48,9 @@ class BoundedProblem:
     lower, upper : ndarray, shape (dim,)
         Elementwise bounds; ``lower < upper`` in every coordinate.
     func : callable
-        Maps a ``(dim,)`` float array to a scalar objective value.
+        Maps a ``(dim,)`` float64 array to a scalar objective value.
+        It is handed the array as given (:func:`evaluate` converts
+        nothing), so it may call ``x.tolist()``.
     """
 
     name: str
@@ -92,6 +94,9 @@ class EvalCounter:
 def evaluate(problem: BoundedProblem, x: np.ndarray, counter: EvalCounter) -> float:
     """Evaluate ``problem`` at ``x``, incrementing ``counter`` by one.
 
+    ``x`` must be a ``(dim,)`` float64 array; it goes to the objective
+    unconverted (the engine's candidates are such arrays already).
+
     Raises
     ------
     NonFiniteObjective
@@ -99,7 +104,7 @@ def evaluate(problem: BoundedProblem, x: np.ndarray, counter: EvalCounter) -> fl
         required to be finite everywhere inside their box; a violation
         here is a bug in the objective, not in the caller.
     """
-    value = float(problem.func(np.asarray(x, dtype=float)))
+    value = float(problem.func(x))
     counter.count += 1
     if not math.isfinite(value):
         raise NonFiniteObjective(

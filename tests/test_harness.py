@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import platform
 import shutil
 import subprocess
 import sys
@@ -99,6 +100,27 @@ def test_documented_trial_fields_match_the_written_record(tmp_path):
     assert list(written) == ["schema", *documented]
 
 
+def test_documented_summary_fields_match_the_written_summary(tmp_path):
+    run_campaign(small_cfg(tmp_path / "camp", trials=1))
+    written = read_summary(tmp_path / "camp" / "summary.json")
+    documented = output_schemas()["schemas"][SUMMARY_SCHEMA]["fields"]
+    assert list(written) == ["schema", *documented]
+    assert written["provenance"] == {
+        "snailopt": snailopt.__version__, "python": platform.python_version(),
+        "numpy": np.__version__, "machine": platform.machine()}
+
+
+def test_a_summary_without_provenance_still_loads(tmp_path):
+    emitted = run_campaign(small_cfg(tmp_path / "camp"))
+    path = tmp_path / "camp" / "summary.json"
+    payload = read_summary(path)
+    del payload["provenance"]
+    path.write_text(json.dumps(payload))
+    assert load_campaign(path)[1] == emitted
+    generate_reports(tmp_path)
+    assert f"skipped {path}" not in (tmp_path / "report.txt").read_text()
+
+
 def test_resolve_problem_checks_dimensions():
     assert resolve_problem(CampaignConfig(problem="sthe1")).dim == 4
     assert resolve_problem(CampaignConfig(problem="sthe1", dim=4)).dim == 4
@@ -168,6 +190,38 @@ def test_identical_configs_reproduce_bitwise(tmp_path):
     assert fa == fb
     assert a.best == b.best and a.mean == b.mean and a.std == b.std
     assert a.avg_evals == b.avg_evals  # wall times may differ
+
+
+def trial_files(out: Path) -> dict:
+    """Every trial record of a campaign, without its wall time."""
+    records = {}
+    for path in sorted(out.glob("trial_*.json")):
+        records[path.name] = json.loads(path.read_text())
+        records[path.name].pop("wall_time")
+    return records
+
+
+def test_f7_campaign_replays_bit_for_bit_with_its_noise(tmp_path):
+    cfg = CampaignConfig(problem="F7", dim=5, trials=3, base_seed=3,
+                         max_evals=600, out_dir=str(tmp_path / "a"))
+    run_campaign(cfg)
+    run_campaign(CampaignConfig.from_dict({**cfg.to_dict(),
+                                           "out_dir": str(tmp_path / "b")}))
+    a, b = trial_files(tmp_path / "a"), trial_files(tmp_path / "b")
+    assert len(a) == 3 and a == b
+    # the noise is on: final_f is not the noise-free value at final_x
+    clean = resolve_problem(cfg)
+    for rec in a.values():
+        assert rec["final_f"] > clean.func(np.array(rec["final_x"]))
+
+
+def test_f7_campaigns_carry_the_published_noise(tmp_path):
+    # uniform [0, 1) noise per evaluation bounds the mean final far from
+    # the noise-free 1e-19 (the paper reports ~5e-3 at d = 30)
+    summary = run_campaign(CampaignConfig(problem="F7", dim=30, trials=3,
+                                          base_seed=101, out_dir=str(tmp_path)))
+    assert summary.completed == 3
+    assert summary.mean >= 1e-4
 
 
 def test_campaign_finds_the_known_minimum(tmp_path):
