@@ -7,8 +7,9 @@ packaged with:
 * the classical 23-function benchmark catalog (``benchmarks``),
 * a shell-and-tube heat exchanger sizing application with three
   published reference cases (``sthe``),
-* the statistics behind the report's tables: exact paired signed-rank
-  tests and Friedman mean ranks (``stats``),
+* the statistics behind the report's tables: exact Wilcoxon tests,
+  signed-rank on paired samples and rank-sum on independent ones, and
+  Friedman mean ranks (``stats``),
 * a campaign runner / report generator and its CLI (``harness``,
   ``cli``).
 

@@ -35,12 +35,13 @@ only.
 
 :func:`generate_reports` turns a directory of campaigns into the
 statistics artifacts: a Friedman ranking table computed from the
-bundled published per-problem means, pairwise signed-rank tables where
+bundled published per-problem means, a pairwise Wilcoxon table where
 two or more campaigns cover the same problem (one row per pair: the
-problem, the two labels and the fields of
-:class:`~snailopt.stats.WilcoxonResult`, a rerun on the same seeds
-reading "no information"), and a closeness table comparing exchanger
-campaign results against the published designs.
+problem, the two labels, the test and the fields of
+:class:`~snailopt.stats.WilcoxonResult`), and a closeness table
+comparing exchanger campaign results against the published designs.
+A pair gets the signed-rank test on the trial seeds both campaigns
+share (a rerun reads "no information"), the rank-sum test on none.
 
 Every output file carries a schema tag; the column layouts are
 documented in ``data/output_schemas.json``.
@@ -438,7 +439,7 @@ def read_summary(path) -> dict:
     return d
 
 
-def write_table_csv(path, rows: list[dict]) -> None:
+def write_table_csv(path, rows: list[dict]) -> Path:
     """Write a list of uniform dict rows; floats round-trip exactly."""
     buf = io.StringIO(newline="")
     if rows:
@@ -447,7 +448,7 @@ def write_table_csv(path, rows: list[dict]) -> None:
         for row in rows:
             w.writerow({k: repr(v) if isinstance(v, float) else v
                         for k, v in row.items()})
-    write_atomic(Path(path), buf.getvalue())
+    return write_atomic(Path(path), buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -559,17 +560,23 @@ def load_campaign(summary_path) -> tuple[CampaignConfig, CampaignSummary, dict]:
     return cfg, summarize(cfg, records), payload
 
 
-def _check_finals(summary_path, cfg: CampaignConfig, payload: dict) -> None:
-    """Raise ``ValueError`` unless ``finals`` (the signed-rank table pairs
-    it) is the records' ``final_f`` in order, with exchanger costs > 0."""
+def _check_finals(summary_path, cfg: CampaignConfig, payload: dict) -> dict:
+    """The records' ``final_f`` by seed, the report's pairing key; raises
+    ``ValueError`` unless each seed is ``base_seed + trial`` and its own,
+    ``finals`` is the records' ``final_f`` in order and exchanger costs > 0."""
     base = Path(summary_path).parent
-    finals = [read_trial_record(base / name)["final_f"]
-              for name in payload["record_files"]]
-    if payload.get("finals") != finals:
+    finals = {}
+    for name in payload["record_files"]:
+        rec = read_trial_record(base / name)
+        if rec["seed"] != cfg.base_seed + rec["trial"] or rec["seed"] in finals:
+            raise ValueError(f"{name}: seed {rec['seed']!r} is not base_seed + trial or repeats")
+        finals[rec["seed"]] = rec["final_f"]
+    if payload.get("finals") != list(finals.values()):
         raise ValueError(f"{summary_path}: 'finals' is missing or does not "
                          "match the trial records")
-    if cfg.is_sthe and min(finals, default=1.0) <= 0.0:
-        raise ValueError(f"exchanger cost {min(finals)!r} is not positive")
+    if cfg.is_sthe and min(finals.values(), default=1.0) <= 0.0:
+        raise ValueError(f"exchanger cost {min(finals.values())!r} is not positive")
+    return finals
 
 
 # ---------------------------------------------------------------------------
@@ -608,50 +615,45 @@ def generate_reports(results_dir) -> list[Path]:
     notices: list[str] = []
 
     campaigns = []
-    groups: dict[str, list] = {}  # problem key -> [(label, finals)]
+    finals: dict[str, dict] = {}  # problem key -> label -> {seed: final_f}
     for path in sorted(root.rglob("summary.json")):
         try:
             cfg, summary, payload = load_campaign(path)
-            _check_finals(path, cfg, payload)
+            by_seed = _check_finals(path, cfg, payload)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             notices.append(f"skipped {path}: {exc}")
             continue
         campaigns.append((cfg, summary))
-        groups.setdefault(cfg.problem_key, []).append(
-            (cfg.display_label, payload["finals"]))
+        runs = finals.setdefault(cfg.problem_key, {})
+        name, k = cfg.display_label, len(runs)
+        while name in runs:  # a repeated label, or one a suffix took
+            name, k = f"{cfg.display_label}#{k}", k + 1
+        runs[name] = by_seed
 
     # Friedman table from the bundled published means (always available)
-    friedman_rows = published_friedman_rows()
-    fr_path = root / "friedman_published.csv"
-    write_table_csv(fr_path, friedman_rows)
-    written.append(fr_path)
+    written.append(write_table_csv(root / "friedman_published.csv",
+                                   published_friedman_rows()))
 
-    # pairwise signed-rank tables wherever raw per-run data overlaps
+    # campaigns on one problem pair on their shared seeds (common random
+    # numbers); sharing none, all their finals are independent samples
     wil_rows = []
-    for key, group in sorted(groups.items()):
-        finals = {}
-        for idx, (label, run_finals) in enumerate(group):
-            name, k = label, idx
-            while name in finals:  # a repeated label, or one a suffix took
-                name, k = f"{label}#{k}", k + 1
-            finals[name] = run_finals
-        for a, b in itertools.combinations(finals, 2):
-            n = min(len(finals[a]), len(finals[b]))
-            if n < 5:
-                notices.append(f"{key}: fewer than 5 shared trials for "
-                               f"{a} vs {b}; pair skipped")
+    for key, runs in sorted(finals.items()):
+        for a, b in itertools.combinations(runs, 2):
+            shared = runs[a].keys() & runs[b].keys()
+            xa, xb = ([run[s] for s in shared or run] for run in (runs[a], runs[b]))
+            if min(len(xa), len(xb)) < 5:
+                notices.append(f"{key}: fewer than 5 trials to compare {a} and {b} "
+                               f"({len(shared)} seeds shared); pair skipped")
                 continue
-            res = wilcoxon_signed_rank(finals[a][:n], finals[b][:n],
-                                       labels=(a, b))
+            res = wilcoxon_signed_rank(xa, xb, labels=(a, b), paired=bool(shared))
             wil_rows.append({"problem": key, "a": a, "b": b,
+                             "test": "signed-rank" if shared else "rank-sum",
                              **dataclasses.asdict(res)})
     if wil_rows:
-        w_path = root / "wilcoxon_pairwise.csv"
-        write_table_csv(w_path, wil_rows)
-        written.append(w_path)
-    elif not any(len(g) >= 2 for g in groups.values()):
+        written.append(write_table_csv(root / "wilcoxon_pairwise.csv", wil_rows))
+    elif not any(len(runs) >= 2 for runs in finals.values()):
         notices.append("no problem is covered by two campaigns; "
-                       "pairwise signed-rank table skipped")
+                       "pairwise Wilcoxon table skipped")
 
     # closeness table for exchanger campaigns
     close_rows = []
@@ -672,9 +674,7 @@ def generate_reports(results_dir) -> list[Path]:
                 "direction": closeness_direction(value),
             })
     if close_rows:
-        c_path = root / "closeness_sthe.csv"
-        write_table_csv(c_path, close_rows)
-        written.append(c_path)
+        written.append(write_table_csv(root / "closeness_sthe.csv", close_rows))
     elif any(cfg.is_sthe for cfg, _s in campaigns):
         notices.append("exchanger campaigns present but none completed")
 

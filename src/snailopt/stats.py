@@ -1,16 +1,18 @@
-"""Nonparametric paired comparisons for algorithm result tables.
+"""Nonparametric comparisons for algorithm result tables.
 
 Two tools cover the usual "is optimizer A actually better than B"
 workflow on per-problem result vectors:
 
-* :func:`wilcoxon_signed_rank` — two-sided paired signed-rank test.
-  Zero differences are dropped (Wilcoxon's original treatment); when
-  all of them are zero the result reads "no information" (p = 1).
-  Tied absolute differences receive midranks, and the p-value is
-  computed EXACTLY for up to 20 non-zero pairs by counting sign
-  assignments with an integer convolution (no 2^n enumeration),
-  falling back to a normal approximation with continuity and tie
-  corrections beyond that.
+* :func:`wilcoxon_signed_rank` — two-sided Wilcoxon test.  Paired
+  samples get the signed-rank test: zero differences are dropped
+  (Wilcoxon's original treatment), and when all of them are zero the
+  result reads "no information" (p = 1).  Independent samples
+  (``paired=False``) get the rank-sum test (Mann-Whitney U), where
+  samples that never differ read the same.  Tied values receive
+  midranks, and the p-value is computed EXACTLY for up to 20 ranked
+  values by counting sign assignments or splits with an integer
+  convolution (no 2^n enumeration), falling back to a normal
+  approximation with continuity and tie corrections beyond that.
 * :func:`friedman_ranks` — mean ranks across problems (ascending:
   rank 1 is best for minimization) plus the final ordering.
 
@@ -33,8 +35,8 @@ __all__ = [
     "wilcoxon_signed_rank",
 ]
 
-#: switch point between the exact sign-assignment count and the
-#: normal approximation
+#: switch point (ranked values) between the exact count of sign
+#: assignments or splits and the normal approximation
 EXACT_LIMIT = 20
 
 #: significance level of the ``significant`` flag
@@ -43,13 +45,15 @@ ALPHA = 0.05
 
 @dataclass(frozen=True)
 class WilcoxonResult:
-    """Outcome of one two-sided paired signed-rank comparison.
+    """Outcome of one two-sided Wilcoxon comparison.
 
-    ``t_plus`` is the rank sum of pairs where the first sample is
-    larger (its losses, for minimization), ``t_minus`` the rank sum
-    where the second sample is larger.  ``winner`` names the sample
-    with the smaller loss rank sum — reported descriptively even when
-    the difference is not significant; check ``significant`` before
+    ``t_plus`` measures where the first sample is larger (its losses,
+    for minimization), ``t_minus`` where the second is: the rank sums of
+    those pairs for the signed-rank test, each sample's Mann-Whitney U
+    for the rank-sum test.  ``n_nonzero`` counts the ranked values: the
+    non-zero differences, or both samples' values.  ``winner`` names the
+    sample with the smaller loss statistic — reported descriptively even
+    when the difference is not significant; check ``significant`` before
     reading anything into it.  The fields are in the column order of
     the report's ``wilcoxon_pairwise.csv``.
     """
@@ -60,7 +64,7 @@ class WilcoxonResult:
     t_minus: float
     winner: str
     significant: bool
-    method: str  # "exact", "normal", or "none" (no non-zero difference)
+    method: str  # "exact", "normal", or "none" (nothing differs)
 
 
 @dataclass(frozen=True)
@@ -119,62 +123,92 @@ def _midranks(values: list[float]) -> list[float]:
     return ranks
 
 
-def _exact_two_sided_p(ranks: list[float], t_low: float) -> float:
-    """Exact two-sided p for the smaller rank sum ``t_low``.
+def _exact_two_sided_p(ranks: list[float], t_low: float,
+                       size: int | None = None) -> float:
+    """Exact two-sided p of the rank sum ``t_low``: its smaller tail,
+    doubled and capped at 1.
 
-    Counts sign assignments whose positive-rank sum is ≤ ``t_low``
-    over all ``2^n`` equally likely assignments, doubles the tail and
-    caps at 1.  Midranks are halves, so everything is doubled once to
-    stay in integer arithmetic; Python integers keep the counts exact.
+    Counts the subsets of ``ranks`` whose sum is ``<= t_low`` and those
+    whose sum is ``>= t_low``, over all equally likely subsets: of any
+    size (the ``2^n`` sign assignments of the signed-rank test), or of
+    ``size`` elements (the ``C(n, size)`` splits of the rank-sum test).
+    One count serves both tails, as the sums ``>= t_low`` are all but
+    those ``< t_low``, so no count goes past ``t_low``.  Midranks are
+    halves, so everything is doubled once to stay in integer arithmetic;
+    Python integers keep the counts exact.
     """
     weights = [int(round(2.0 * r)) for r in ranks]
-    total = sum(weights)
-    counts = [0] * (total + 1)
-    counts[0] = 1
-    for w in weights:
-        for t in range(total, w - 1, -1):
-            counts[t] += counts[t - w]
-    threshold = int(round(2.0 * t_low))
-    tail = sum(counts[: threshold + 1])
-    return min(1.0, 2.0 * tail / 2.0 ** len(weights))
+    top = int(round(2.0 * t_low))
+    n = len(weights)
+    # rows[k][t]: subsets of k weights (of any number: rows[0]) summing to t
+    rows = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(size or 0)]
+    for i, w in enumerate(weights):
+        if size is None:
+            rows[0][w:] = [x + y for x, y in zip(rows[0][w:], rows[0])]
+            continue
+        # row k is reachable after i + 1 weights, and reaches size with the rest
+        for k in range(min(i + 1, size), max(0, size - n + i), -1):
+            rows[k][w:] = [x + y for x, y in zip(rows[k][w:], rows[k - 1])]
+    counts = rows[-1]
+    total = 2 ** n if size is None else math.comb(n, size)
+    tail = sum(counts)
+    tail = min(tail, total - tail + counts[top])
+    return min(1.0, 2.0 * tail / total)
 
 
-def wilcoxon_signed_rank(a, b,
-                         labels: tuple[str, str] = ("A", "B")) -> WilcoxonResult:
-    """Two-sided paired signed-rank test between result vectors.
+def wilcoxon_signed_rank(a, b, labels: tuple[str, str] = ("A", "B"),
+                         paired: bool = True) -> WilcoxonResult:
+    """Two-sided Wilcoxon test between result vectors (lower is better).
 
     Parameters
     ----------
     a, b : array-like
-        Equal-length (>= 5) paired results, e.g. per-problem means of
-        two optimizers (lower is better).
+        With ``paired``, equal-length (>= 5) paired results, e.g. the
+        finals of two optimizers on the same seeds: Wilcoxon's
+        signed-rank test.  Without, two independent samples of >= 5
+        values each: Wilcoxon's rank-sum test (Mann-Whitney U).
     labels : (str, str)
         Names for the two samples, used for the ``winner`` field.
 
-    If every difference is exactly zero there is nothing to rank: the
-    result has ``n_nonzero == 0``, ``p_value == 1.0``, winner
-    ``"no information"`` and method ``"none"``.
+    If nothing differs (every paired difference is zero, or every value
+    of both samples is equal) there is nothing to rank: the result has
+    ``n_nonzero == 0``, ``p_value == 1.0``, winner ``"no information"``
+    and method ``"none"``.
     """
     a, b = _floats(a), _floats(b)
-    if len(a) != len(b):
-        raise ValueError("samples must be equal-length 1-D vectors")
-    if len(a) < 5:
-        raise ValueError("need at least 5 pairs")
-    d = [v for v in (x - y for x, y in zip(a, b)) if v != 0.0]
-    n = len(d)
-    if n == 0:
+    if paired:
+        if len(a) != len(b):
+            raise ValueError("samples must be equal-length 1-D vectors")
+        if len(a) < 5:
+            raise ValueError("need at least 5 pairs")
+        d = [v for v in (x - y for x, y in zip(a, b)) if v != 0.0]
+        n = len(d)
+        ranks = _midranks([abs(v) for v in d])
+        t_plus = math.fsum(r for r, v in zip(ranks, d) if v > 0)
+        t_minus = math.fsum(r for r, v in zip(ranks, d) if v < 0)
+        # the rank sum the exact count tails at, and the subset size
+        r_low, size, mu = min(t_plus, t_minus), None, n * (n + 1) / 4.0
+        var = math.fsum(r * r for r in ranks) / 4.0
+    else:
+        if min(len(a), len(b)) < 5:
+            raise ValueError("need at least 5 values per sample")
+        n = len(a) + len(b)
+        ranks = _midranks(a + b)
+        r_a, r_b = math.fsum(ranks[:len(a)]), math.fsum(ranks[len(a):])
+        t_plus = r_a - len(a) * (len(a) + 1) / 2.0
+        t_minus = r_b - len(b) * (len(b) + 1) / 2.0
+        r_low, size = (r_a, len(a)) if t_plus <= t_minus else (r_b, len(b))
+        mu = len(a) * len(b) / 2.0
+        var = (len(a) * len(b) * (math.fsum(r * r for r in ranks)
+                                  - n * (n + 1) ** 2 / 4.0) / (n * (n - 1)))
+    if var == 0.0:  # no non-zero difference, or every value ties
         return WilcoxonResult(0, 1.0, 0.0, 0.0, "no information", False, "none")
-    ranks = _midranks([abs(v) for v in d])
-    t_plus = math.fsum(r for r, v in zip(ranks, d) if v > 0)
-    t_minus = math.fsum(r for r, v in zip(ranks, d) if v < 0)
-    t_low = min(t_plus, t_minus)
     if n <= EXACT_LIMIT:
-        p = _exact_two_sided_p(ranks, t_low)
+        p = _exact_two_sided_p(ranks, r_low, size)
         method = "exact"
     else:
-        mu = n * (n + 1) / 4.0
-        sigma = math.sqrt(math.fsum(r * r for r in ranks) / 4.0)
-        z = (t_low - mu + 0.5) / sigma  # continuity correction toward center
+        # continuity correction toward the center
+        z = (min(t_plus, t_minus) - mu + 0.5) / math.sqrt(var)
         # two-sided: 2 * Phi(z) = erfc(-z / sqrt(2))
         p = min(1.0, math.erfc(-z / math.sqrt(2.0)))
         method = "normal"

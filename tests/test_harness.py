@@ -520,6 +520,7 @@ def test_reports_for_overlapping_campaigns(tmp_path):
     row = rows[0]
     assert row["problem"] == "F16-d2"
     assert {row["a"], row["b"]} == {"seed-7", "seed-99"}
+    assert row["test"] == "rank-sum"  # seeds 7-11 and 99-103 are disjoint
     assert 0.0 < row["p_value"] <= 1.0
     text = (tmp_path / "report.txt").read_text()
     assert "seed-7" in text and "seed-99" in text
@@ -536,10 +537,11 @@ def test_reports_name_repeated_labels_apart(tmp_path):
     assert [(row["a"], row["b"]) for row in rows] == [("a", "a#2"), ("a", "a#3"), ("a#2", "a#3")]
     column = {"a": finals["c1"], "a#2": finals["c2"], "a#3": finals["c3"]}
     for row in rows:
+        # seeds 1-6, 11-16 and 21-26 are disjoint: independent samples
         want = wilcoxon_signed_rank(column[row["a"]], column[row["b"]],
-                                    labels=(row["a"], row["b"]))
+                                    labels=(row["a"], row["b"]), paired=False)
         assert row == {"problem": "F16-d2", "a": row["a"], "b": row["b"],
-                       **dataclasses.asdict(want)}
+                       "test": "rank-sum", **dataclasses.asdict(want)}
 
 
 def test_reports_closeness_for_exchanger_campaigns(tmp_path):
@@ -601,6 +603,55 @@ def test_reports_rerun_campaigns_as_no_information(tmp_path):
     assert row["n_nonzero"] == 0 and row["significant"] is False
 
 
+def test_reports_pair_trials_by_seed_not_by_position(tmp_path):
+    # trial 0 of "gap" failed (NonFiniteObjective leaves no record): the
+    # 5 seeds both campaigns hold are reruns of each other
+    for label in ("full", "gap"):
+        run_campaign(small_cfg(tmp_path / label, label=label, trials=6))
+    out = tmp_path / "gap"
+    payload = read_summary(out / "summary.json")
+    cfg = CampaignConfig.from_dict(payload["config"])
+    (out / "trial_000.json").unlink()
+    records = [read_trial_record(out / name) for name in payload["record_files"][1:]]
+    payload.update(summary=dataclasses.asdict(harness.summarize(cfg, records)),
+                   finals=payload["finals"][1:],
+                   record_files=payload["record_files"][1:],
+                   failures=[{"trial": 0, "seed": 7, "error": "non-finite"}])
+    (out / "summary.json").write_text(json.dumps(payload))
+    generate_reports(tmp_path)
+    [row] = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
+    assert (row["test"], row["winner"], row["n_nonzero"]) == \
+        ("signed-rank", "no information", 0)
+
+
+def test_reports_pair_overlapping_seed_ranges_on_the_shared_seeds(tmp_path):
+    # seeds 1-10 and 6-15: only seeds 6-10 pair, whatever the positions
+    finals = {}
+    for label, seed, evals in (("low", 1, 300), ("high", 6, 200)):
+        assert cli.main(["run", "--problem", "F16", "--trials", "10",
+                         "--max-evals", str(evals), "--seed", str(seed),
+                         "--out", str(tmp_path / label), "--label", label]) == 0
+        finals[label] = read_summary(tmp_path / label / "summary.json")["finals"]
+    assert cli.main(["report", "--in", str(tmp_path)]) == 0
+    [row] = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
+    a, b = row["a"], row["b"]
+    shared = {"low": finals["low"][5:], "high": finals["high"][:5]}
+    want = wilcoxon_signed_rank(shared[a], shared[b], labels=(a, b))
+    assert row == {"problem": "F16-d2", "a": a, "b": b, "test": "signed-rank",
+                   **dataclasses.asdict(want)}
+
+
+def test_reports_skip_pairs_sharing_fewer_than_five_seeds(tmp_path):
+    # seeds 7-12 and 10-15 share three: too few to pair, yet not independent
+    run_campaign(small_cfg(tmp_path / "a", label="a", trials=6))
+    run_campaign(small_cfg(tmp_path / "b", label="b", trials=6, base_seed=10))
+    generate_reports(tmp_path)
+    assert not (tmp_path / "wilcoxon_pairwise.csv").exists()
+    text = (tmp_path / "report.txt").read_text()
+    assert ("note: F16-d2: fewer than 5 trials to compare a and b "
+            "(3 seeds shared); pair skipped") in text
+
+
 def test_report_headers_match_the_documented_columns(tmp_path):
     # a rerun pairs as "no information", which still fills every column
     run_campaign(small_cfg(tmp_path / "a", label="first"))
@@ -633,6 +684,10 @@ def damaged_summaries(payload):
         "finals-missing": json.dumps({k: v for k, v in payload.items()
                                       if k != "finals"}),
         "finals-tampered": json.dumps({**payload, "finals": tampered}),
+        # one trial listed twice: its seed would pair twice
+        "record-file-repeated": json.dumps(
+            {**payload, "record_files": payload["record_files"][:1] * 2,
+             "finals": payload["finals"][:1] * 2}),
     }
 
 
@@ -652,6 +707,23 @@ def test_unreadable_summary_is_reported_not_fatal(tmp_path):
         report = (root / "report.txt").read_text()
         assert f"skipped {root / 'broken' / 'summary.json'}" in report, case
         assert "campaigns found: 1" in report, case
+
+
+def test_foreign_trial_seed_is_reported_not_fatal(tmp_path):
+    # the report pairs on the records' seeds, so a record whose seed is
+    # not base_seed + trial is refused instead of paired
+    run_campaign(small_cfg(tmp_path / "intact", label="intact"))
+    run_campaign(small_cfg(tmp_path / "damaged", label="damaged"))
+    path = tmp_path / "damaged" / "trial_001.json"
+    trial = json.loads(path.read_text())
+    trial["seed"] = 1_000
+    path.write_text(json.dumps(trial))
+    generate_reports(tmp_path)
+    text = (tmp_path / "report.txt").read_text()
+    assert (f"note: skipped {tmp_path / 'damaged' / 'summary.json'}: "
+            "trial_001.json: seed 1000 is not base_seed + trial or repeats") in text
+    assert "campaigns found: 1" in text
+    assert not (tmp_path / "wilcoxon_pairwise.csv").exists()
 
 
 def test_nonpositive_exchanger_cost_is_reported_not_fatal(tmp_path, capsys):
@@ -729,17 +801,20 @@ def test_cli_run_then_report(tmp_path, capsys):
 
 
 #: run in a fresh interpreter where any scipy import raises ImportError;
-#: two 21-trial campaigns pair on the normal branch, each of them with
-#: the 5-trial one on the exact branch
+#: the budgets differ, so shared seeds give different finals: the two
+#: 21-trial campaigns pair on 21 seeds (signed-rank, normal), each of
+#: them with "mid" on 5 (signed-rank, exact) and with "apart", whose
+#: seeds are its own, as 26 independent values (rank-sum, normal);
+#: "mid" and "apart" are 10 such values (rank-sum, exact)
 SCIPY_FREE_CAMPAIGNS = """
 import sys
 sys.modules["scipy"] = None
 from snailopt import cli
 out = sys.argv[1]
-for label, trials, seed in (("long-a", 21, 1), ("long-b", 21, 101),
-                            ("short", 5, 201)):
+for label, trials, seed, evals in (("long-a", 21, 1, 100), ("long-b", 21, 1, 200),
+                                   ("mid", 5, 1, 300), ("apart", 5, 101, 100)):
     assert cli.main(["run", "--problem", "F16", "--trials", str(trials),
-                     "--max-evals", "100", "--seed", str(seed),
+                     "--max-evals", str(evals), "--seed", str(seed),
                      "--out", f"{out}/{label}", "--label", label]) == 0
 assert cli.main(["report", "--in", out]) == 0
 """
@@ -762,7 +837,10 @@ def test_runtime_never_imports_scipy(tmp_path):
     blocked = run_python(SCIPY_FREE_CAMPAIGNS, str(tmp_path))
     assert blocked.returncode == 0, blocked.stderr
     rows = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
-    assert sorted(r["method"] for r in rows) == ["exact", "exact", "normal"]
+    assert sorted((r["test"], r["method"]) for r in rows) == [
+        ("rank-sum", "exact"), ("rank-sum", "normal"), ("rank-sum", "normal"),
+        ("signed-rank", "exact"), ("signed-rank", "exact"),
+        ("signed-rank", "normal")]
 
 
 #: the last line a probe in a fresh interpreter prints
@@ -770,11 +848,12 @@ NUMPY_MODULES = "print(sorted(m for m in sys.modules if m.startswith('numpy.')))
 
 
 def test_cli_import_report_and_catalog_load_no_numpy(tmp_path):
-    # an exchanger campaign (closeness rows) and two on one problem (a
-    # signed-rank pair), so the report reaches every table it writes
-    for label, problem, seed in (("a", "F16", 1), ("b", "F16", 11),
-                                 ("s", "sthe1", 1)):
-        run_campaign(CampaignConfig(problem=problem, trials=5, max_evals=300,
+    # an exchanger campaign (closeness rows) and three on one problem: "a"
+    # and "c" share seeds (a signed-rank pair), "b" shares none (rank-sum
+    # pairs), so the report reaches every table and test it writes
+    for label, problem, seed, evals in (("a", "F16", 1, 300), ("b", "F16", 11, 300),
+                                        ("c", "F16", 1, 200), ("s", "sthe1", 1, 300)):
+        run_campaign(CampaignConfig(problem=problem, trials=5, max_evals=evals,
                                     base_seed=seed, label=label,
                                     out_dir=str(tmp_path / label)))
     for command in ("pass", "cli.main(['report', '--in', sys.argv[1]])",
@@ -783,7 +862,9 @@ def test_cli_import_report_and_catalog_load_no_numpy(tmp_path):
                           + NUMPY_MODULES, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]", command
-    assert (tmp_path / "wilcoxon_pairwise.csv").is_file()
+    rows = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
+    assert {row["test"] for row in rows} == {"signed-rank", "rank-sum"}
+    assert all(row["method"] == "exact" for row in rows)
     assert (tmp_path / "closeness_sthe.csv").is_file()
 
 

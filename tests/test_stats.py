@@ -1,4 +1,5 @@
-"""Signed-rank and rank-table tests, anchored by a brute-force oracle."""
+"""Signed-rank, rank-sum and rank-table tests, anchored by brute-force
+and scipy oracles."""
 
 import itertools
 
@@ -221,6 +222,86 @@ def test_rank_sums_partition_the_total(diffs):
         return
     assert res.t_plus + res.t_minus == pytest.approx(n * (n + 1) / 2, abs=1e-9)
     assert 0.0 < res.p_value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# rank-sum test
+# ---------------------------------------------------------------------------
+
+def brute_force_rank_sum_p(a, b):
+    """Two-sided exact p by enumerating all C(N, n_a) splits of the pooled
+    midranks: the smaller tail at a's rank sum, doubled (midranks are
+    halves, so every sum is exact)."""
+    ranks = [float(r) for r in rankdata(np.concatenate([a, b]))]
+    r_a = sum(ranks[:len(a)])
+    sums = [sum(split) for split in itertools.combinations(ranks, len(a))]
+    tail = min(sum(s <= r_a for s in sums), sum(s >= r_a for s in sums))
+    return min(1.0, 2.0 * tail / len(sums))
+
+
+def test_rank_sum_matches_scipy_exact_on_tie_free_samples():
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        n_a, n_b = (int(n) for n in rng.integers(5, 11, size=2))
+        v = rng.permutation(100)[:n_a + n_b].astype(float)
+        ours = wilcoxon_signed_rank(v[:n_a], v[n_a:], paired=False)
+        ref = sps.mannwhitneyu(v[:n_a], v[n_a:], method="exact")
+        assert ours.method == "exact" and ours.n_nonzero == n_a + n_b
+        assert ours.t_plus == ref.statistic
+        assert ours.t_minus == n_a * n_b - ref.statistic
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
+
+
+def test_rank_sum_exact_p_matches_brute_force_enumeration_with_ties():
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        n_a, n_b = (int(n) for n in rng.integers(5, 8, size=2))
+        v = rng.integers(0, rng.choice([2, 3, 5, 10]), n_a + n_b).astype(float)
+        res = wilcoxon_signed_rank(v[:n_a], v[n_a:], paired=False)
+        if np.all(v == v[0]):
+            assert res == NO_INFORMATION
+            continue
+        assert res.method == "exact"
+        assert res.p_value == brute_force_rank_sum_p(v[:n_a], v[n_a:])  # bit-for-bit
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("sizes", [(5, 16), (11, 11), (30, 45)])
+def test_rank_sum_normal_p_matches_scipy_asymptotic(sizes, shift):
+    rng = np.random.default_rng(sum(sizes))
+    a = np.round(rng.normal(0.0, 1.0, sizes[0]), 1)  # many ties
+    b = np.round(rng.normal(shift, 1.0, sizes[1]), 1)
+    ours = wilcoxon_signed_rank(a, b, paired=False)
+    ref = sps.mannwhitneyu(a, b, method="asymptotic", use_continuity=True)
+    assert ours.method == "normal" and ours.n_nonzero == sum(sizes)
+    assert ours.t_plus == ref.statistic
+    assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-13, abs=0.0)
+
+
+def test_rank_sum_method_switches_at_the_exact_limit():
+    rng = np.random.default_rng(53)
+    v = rng.normal(size=EXACT_LIMIT + 1)
+    assert wilcoxon_signed_rank(v[:5], v[5:-1], paired=False).method == "exact"
+    assert wilcoxon_signed_rank(v[:5], v[5:], paired=False).method == "normal"
+
+
+def test_rank_sum_swapping_samples_swaps_u_not_p():
+    rng = np.random.default_rng(59)
+    a, b = rng.normal(size=6), rng.normal(0.5, 1.0, size=9)
+    ab = wilcoxon_signed_rank(a, b, labels=("a", "b"), paired=False)
+    ba = wilcoxon_signed_rank(b, a, labels=("b", "a"), paired=False)
+    assert ab.p_value == ba.p_value
+    assert ab.t_plus == ba.t_minus and ab.t_minus == ba.t_plus
+    assert ab.winner == ba.winner
+    assert ab.t_plus + ab.t_minus == 6 * 9
+
+
+def test_rank_sum_input_validation():
+    assert wilcoxon_signed_rank(np.ones(5), np.ones(7), paired=False) == NO_INFORMATION
+    with pytest.raises(ValueError):
+        wilcoxon_signed_rank(np.arange(4.0), np.arange(9.0), paired=False)
+    with pytest.raises(ValueError, match="NaN"):
+        wilcoxon_signed_rank([1.0, 2.0, np.nan, 4.0, 5.0], np.zeros(5), paired=False)
 
 
 # ---------------------------------------------------------------------------
