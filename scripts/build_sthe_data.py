@@ -18,15 +18,15 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from snailopt.sthe import evaluate_design, make_case  # noqa: E402
+from snailopt.sthe import DomainError, evaluate_design, make_case  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "snailopt" / "data" / "sthe_published.json"
 
@@ -221,12 +221,6 @@ SUSPECT_CELLS = [
      "note": "cross-flow areas are O(0.01) m^2; cell copied from elsewhere"},
 ]
 
-# Convention profile used by our own solver (and by the two most recent
-# reference studies, which the totals confirm).
-CANONICAL = {"tube_fouling": None, "layout": "triangular", "elbow_loss": None,
-             "pump_efficiency": 0.8, "efficiency_on_shell": False, "passes": 2,
-             "area_convention": "duty"}
-
 # Columns whose printed rows contradict each other internally, so no
 # single convention set can reproduce their totals from the decision
 # variables.  Each note cites the specific clash.
@@ -267,46 +261,43 @@ OUTLIER_NOTES = {
 PUMP_OPTIONS = ((0.8, False), (0.8, True), (0.7, True), (1.0, True))
 
 
+def profile(case, decision, printed_total):
+    """The convention record of ``case`` and its total for ``decision``."""
+    total = evaluate_design(case, decision).total
+    return {
+        "tube_fouling": case.tube.fouling,
+        "layout": case.layout,
+        "elbow_loss": case.elbow_loss,
+        "passes": case.passes,
+        "pump_efficiency": case.pump_efficiency,
+        "efficiency_on_shell": case.efficiency_on_shell,
+        "area_convention": case.area_convention,
+        "model_c_total": total,
+        "rel_error": abs(total - printed_total) / printed_total,
+    }
+
+
 def fit_column(case, decision, printed_total, printed_passes):
-    """Search the small convention grid for the best C_total match."""
-    base_fouling = case.tube.fouling
-    foulings = [base_fouling]
-    if case.case_id == 1:
-        foulings = [0.00002, 0.0002]
-    passes_options = [printed_passes] if printed_passes else [1, 2, 4]
+    """Search the small convention grid for the best C_total match (the
+    first of equal errors, in grid order)."""
+    foulings = [0.00002, 0.0002] if case.case_id == 1 else [case.tube.fouling]
     best = None
-    for fouling in foulings:
-        tube = replace(case.tube, fouling=fouling)
-        for layout in ("triangular", "square"):
-            for elbow in (4.0, 2.5):
-                for passes in passes_options:
-                    for eff, on_shell in PUMP_OPTIONS:
-                        for area in ("duty", "geometry"):
-                            trial = replace(
-                                case, tube=tube, layout=layout,
-                                elbow_loss=elbow, passes=passes,
-                                pump_efficiency=eff, efficiency_on_shell=on_shell,
-                                area_convention=area,
-                            )
-                            try:
-                                total = evaluate_design(trial, decision).total
-                            except Exception:
-                                continue
-                            err = abs(total - printed_total) / printed_total
-                            key = (err,)
-                            if best is None or key < best[0]:
-                                best = (key, {
-                                    "tube_fouling": fouling,
-                                    "layout": layout,
-                                    "elbow_loss": elbow,
-                                    "passes": passes,
-                                    "pump_efficiency": eff,
-                                    "efficiency_on_shell": on_shell,
-                                    "area_convention": area,
-                                    "model_c_total": total,
-                                    "rel_error": err,
-                                })
-    return best[1] if best else None
+    for fouling, layout, elbow, passes, (eff, on_shell), area in itertools.product(
+            foulings, ("triangular", "square"), (4.0, 2.5),
+            [printed_passes] if printed_passes else [1, 2, 4],
+            PUMP_OPTIONS, ("duty", "geometry")):
+        trial = replace(
+            case, tube=replace(case.tube, fouling=fouling), layout=layout,
+            elbow_loss=elbow, passes=passes, pump_efficiency=eff,
+            efficiency_on_shell=on_shell, area_convention=area,
+        )
+        try:
+            record = profile(trial, decision, printed_total)
+        except DomainError:
+            continue
+        if best is None or record["rel_error"] < best["rel_error"]:
+            best = record
+    return best
 
 
 def build():
@@ -347,23 +338,11 @@ def build():
                 entry["exclude_reason"] = reason
             elif name in ("SHMS", "ARGA"):
                 # the chain's own conventions; no fitting
-                total = evaluate_design(case, decision).total
-                entry["profile"] = {
-                    "tube_fouling": case.tube.fouling,
-                    "layout": case.layout,
-                    "elbow_loss": case.elbow_loss,
-                    "passes": case.passes,
-                    "pump_efficiency": case.pump_efficiency,
-                    "efficiency_on_shell": case.efficiency_on_shell,
-                    "area_convention": case.area_convention,
-                    "model_c_total": total,
-                    "rel_error": abs(total - entry["c_total"]) / entry["c_total"],
-                    "fitted": False,
-                }
+                entry["profile"] = {**profile(case, decision, entry["c_total"]),
+                                    "fitted": False}
             else:
-                prof = fit_column(case, decision, entry["c_total"], rows["n_t"][j])
-                prof["fitted"] = True
-                entry["profile"] = prof
+                fitted = fit_column(case, decision, entry["c_total"], rows["n_t"][j])
+                entry["profile"] = {**fitted, "fitted": True}
             if entry["profile"] is not None and not entry["excluded"]:
                 entry["outlier"] = entry["profile"]["rel_error"] > 0.02
                 if entry["outlier"]:
@@ -412,10 +391,10 @@ def verify(data):
             print(f"  *** more than 4 outlier columns for case {case_id}")
 
     print("=== closeness spot checks ===")
-    best = {1: 41718.6558, 2: 19084.3059, 3: 20744.3639}
     for case_id in (1, 2, 3):
+        best = PERFORMANCE[case_id]["best"]
         for row in data["closeness"][str(case_id)]:
-            expect = 100.0 * (row["c_total"] - best[case_id]) / row["c_total"]
+            expect = 100.0 * (row["c_total"] - best) / row["c_total"]
             # the comparison table prints magnitudes plus a direction flag
             printed = row["closeness_percent"]
             if row["direction"] == "down":

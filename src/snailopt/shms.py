@@ -435,9 +435,9 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
     for h in range(cfg.homes):
         if colony.counter.count >= cfg.max_evals:
             break
+        # never empty: init_colony gives every home >= 2 snails, and a
+        # home's snails leave only in its own turn, never the fecund one
         members = colony.members(h)
-        if not members:
-            continue  # emptied by emigration; anchor keeps last memory
         fecundity = [fecundity_index(*s.f_hist, rng) for s in members]
         probs = selection_probabilities([s.f for s in members])
         k = roulette_select(probs, rng)

@@ -415,6 +415,8 @@ def evaluate_design(case: StheCase, d) -> StheDesign:
         * case.passes
     )
 
+    # both positive in the box: cross_area is 0.2 * D_s * b, and d_e a
+    # positive multiple of d_o for either layout
     cross_area = shell_d * baffle * clearance / pitch
     if case.layout == "triangular":
         d_e = 4.0 * (0.43 * pitch * pitch - math.pi * d_o * d_o / 8.0) / (
@@ -422,8 +424,6 @@ def evaluate_design(case: StheCase, d) -> StheDesign:
         )
     else:
         d_e = 4.0 * (pitch * pitch - math.pi * d_o * d_o / 4.0) / (math.pi * d_o)
-    if d_e <= 0.0 or cross_area <= 0.0:
-        raise DomainError("shell-side geometry out of domain")
     v_s = shell.mass_flow / (shell.density * cross_area)
     re_s = shell.density * v_s * d_e / shell.viscosity
     pr_s = shell.prandtl
@@ -510,7 +510,7 @@ def published_tables() -> dict:
     Returns the parsed ``sthe_published.json`` payload: per-case
     reported design columns (with the fitted model variant that
     reproduces each one, or a note on why none does), the closeness
-    table, our solver's campaign statistics, and the list of printed
+    table, the paper's reported SHMS statistics, and the list of printed
     cells that contradict their own row/column.
     """
     return load("sthe_published.json")

@@ -47,6 +47,11 @@ def test_fixed_dim_functions_reject_other_dims():
     assert make_benchmark("F20").dim == 6
 
 
+def test_scalable_functions_reject_one_dimension():
+    with pytest.raises(ValueError, match="F1 needs dim >= 2; got 1"):
+        make_benchmark("F1", 1)
+
+
 def test_unknown_id_rejected():
     with pytest.raises(KeyError):
         make_benchmark("F24")

@@ -509,13 +509,23 @@ def test_emigrants_mate_and_move_again_in_a_later_home(fid, dim, seed, monkeypat
     assert rec.evals == 29
 
 
-@settings(deadline=None, max_examples=15)
+@settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=2 ** 31 - 1))
-def test_small_random_runs_hold_the_core_invariants(dim, seed):
+       st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=2, max_value=10),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_small_random_runs_hold_the_core_invariants(dim, seed, homes, snails,
+                                                     switch):
     problem = sphere(dim=dim)
-    cfg = ShmsConfig(max_evals=200, seed=seed)
-    rec = run(problem, cfg)
+    cfg = ShmsConfig(homes=homes, snails_per_home=snails,
+                     home_switch_prob=switch, max_evals=200, seed=seed)
+    occupied = []
+    rec = run(problem, cfg, observer=lambda colony: occupied.append(
+        {s.home_id for s in colony.snails}))
+    # no home is ever empty, so step needs no guard for one: a home's
+    # snails emigrate only in its own turn, and its fecund snail stays
+    assert occupied == [set(range(homes))] * len(rec.best_trace)
     again = run(problem, cfg)
     assert rec.best_trace == again.best_trace
     assert rec.evals <= cfg.max_evals

@@ -23,9 +23,9 @@ import snailopt
 from snailopt import cli, harness
 from snailopt.benchmarks import known_optimum
 from snailopt.harness import (BENCHMARK_BUDGET_LARGE, BENCHMARK_BUDGET_SMALL,
-                              SCATTER_SCHEMA, STHE_BUDGETS, SUMMARY_SCHEMA,
-                              TRACE_SCHEMA, TRIAL_SCHEMA, CampaignConfig,
-                              ScatterRecorder, default_budget,
+                              ENGINE_KEYS, SCATTER_SCHEMA, STHE_BUDGETS,
+                              SUMMARY_SCHEMA, TRACE_SCHEMA, TRIAL_SCHEMA,
+                              CampaignConfig, ScatterRecorder, default_budget,
                               generate_reports, load_campaign,
                               output_schemas, published_friedman_rows,
                               read_summary, read_trace_csv,
@@ -34,7 +34,8 @@ from snailopt.harness import (BENCHMARK_BUDGET_LARGE, BENCHMARK_BUDGET_SMALL,
 from snailopt.objective import (BoundedProblem, EvalCounter, NonFiniteObjective,
                                 evaluate)
 from snailopt.stats import wilcoxon_signed_rank
-from snailopt.sthe import DomainError, evaluate_design, make_case
+from snailopt.sthe import (LOWER, UPPER, DomainError, evaluate_design,
+                           make_case, published_tables)
 from table_io import read_table_csv
 
 
@@ -92,6 +93,12 @@ def test_documented_config_fields_match_the_dataclass():
     assert list(documented) == [f.name for f in dataclasses.fields(CampaignConfig)]
 
 
+def test_documented_engine_overrides_are_the_engine_keys():
+    documented = output_schemas()["schemas"]["snailopt.campaign_config/1"]["fields"]
+    names = documented["engine"].split(": ", 1)[1]
+    assert names.split(", ") == list(ENGINE_KEYS)
+
+
 def test_documented_trial_fields_match_the_written_record(tmp_path):
     cfg = small_cfg(tmp_path / "camp", trials=1)
     run_campaign(cfg)
@@ -129,6 +136,11 @@ def test_resolve_problem_checks_dimensions():
     with pytest.raises(ValueError):
         resolve_problem(CampaignConfig(problem="F16", dim=5))
     assert resolve_problem(CampaignConfig(problem="F1", dim=100)).dim == 100
+
+
+def test_exchanger_budgets_are_the_published_average_evaluations():
+    performance = published_tables()["performance"]
+    assert {int(k): row["avg_evals"] for k, row in performance.items()} == STHE_BUDGETS
 
 
 def test_default_budgets():
@@ -551,7 +563,6 @@ def test_reports_closeness_for_exchanger_campaigns(tmp_path):
     files = generate_reports(tmp_path)
     assert any(p.name == "closeness_sthe.csv" for p in files)
     rows = read_table_csv(tmp_path / "closeness_sthe.csv")
-    from snailopt.sthe import published_tables
     assert len(rows) == len(published_tables()["closeness"]["1"])
     for row in rows:
         assert row["case"] == 1
@@ -942,7 +953,8 @@ BAD_CONFIGS = {
     '{"engine": {"stagnation_tol": NaN}}': "stagnation_tol",
 }
 #: refused after the cases above, so that they keep their ids
-FOREIGN_CONFIGS = {'{"schema": "snailopt.campaign_config/9"}': "'schema'"}
+FOREIGN_CONFIGS = {'{"schema": "snailopt.campaign_config/9"}': "'schema'",
+                   '[{"problem": "F16"}]': "job.json: not a JSON object"}
 
 
 @pytest.mark.parametrize("flags", [
@@ -1009,6 +1021,22 @@ def test_cli_config_file_takes_an_integer_for_a_float(tmp_path):
                      "--out", str(tmp_path / "camp")]) == 0
     payload = read_summary(tmp_path / "camp" / "summary.json")
     assert payload["config"]["engine"] == {"home_switch_prob": 0}
+
+
+def test_a_campaign_with_no_completed_trial(tmp_path, monkeypatch, capsys):
+    # run exits 1, and the report names the exchanger campaign without
+    # comparing it with the published costs
+    evil = BoundedProblem(name="evil", dim=4, lower=np.array(LOWER),
+                          upper=np.array(UPPER), func=lambda x: float("nan"))
+    monkeypatch.setattr(harness, "resolve_problem", lambda cfg: evil)
+    assert cli.main(["run", "--problem", "sthe1", "--trials", "2",
+                     "--label", "broken", "--out", str(tmp_path / "camp")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "broken: no trial completed"
+    files = generate_reports(tmp_path)
+    assert "closeness_sthe.csv" not in {p.name for p in files}
+    text = (tmp_path / "report.txt").read_text()
+    assert "  broken               no completed trials" in text
+    assert "note: exchanger campaigns present but none completed" in text
 
 
 def test_cli_does_not_catch_errors_raised_in_a_trial(tmp_path, monkeypatch):

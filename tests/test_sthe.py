@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snailopt.sthe import (INFEASIBLE_COST, LOWER, UPPER, DomainError,
                            closeness_direction, closeness_percent,
@@ -60,17 +62,61 @@ def test_case_bounds_are_the_documented_box():
 def test_case_rejects_inconsistent_streams():
     case = make_case(1)
     cold = dataclasses.replace(case.shell, t_in=20.0, t_out=40.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hot"):
         dataclasses.replace(case, shell=cold)
+    cooled = dataclasses.replace(case.tube, t_in=40.0, t_out=25.0)
+    with pytest.raises(ValueError, match="cold"):
+        dataclasses.replace(case, tube=cooled)
     with pytest.raises(ValueError):
         dataclasses.replace(case, layout="hexagonal")
     with pytest.raises(ValueError):
         dataclasses.replace(case, area_convention="frontal")
 
 
+def with_outlets(shell_out, tube_out, case_id=1):
+    case = make_case(case_id)
+    return dataclasses.replace(
+        case, shell=dataclasses.replace(case.shell, t_out=shell_out),
+        tube=dataclasses.replace(case.tube, t_out=tube_out))
+
+
+def test_a_temperature_cross_is_out_of_domain():
+    # the tube stream leaves at 100 degC, above the shell inlet's 95
+    case = with_outlets(40.0, 100.0)
+    with pytest.raises(DomainError, match="temperature cross"):
+        case.lmtd
+    assert total_cost(case, [0.02, 0.8, 0.3, 4.0]) == INFEASIBLE_COST
+
+
+def test_equal_capacity_rates_take_the_limits_of_the_general_forms():
+    # 95 -> 60 degC against 25 -> 60 degC: both ends differ by 35 and
+    # R = 1, where the general LMTD and F expressions divide by zero
+    case = with_outlets(60.0, 60.0)
+    assert case.lmtd == 35.0
+    for eps in (1e-3, -1e-3):
+        near = with_outlets(60.0, 60.0 + eps)
+        assert near.lmtd == pytest.approx(35.0, abs=1e-3)
+        assert near.correction_factor == pytest.approx(case.correction_factor,
+                                                      rel=1e-4)
+    assert 0.5 < case.correction_factor < 1.0
+
+
 # ---------------------------------------------------------------------------
 # derived-geometry identities
 # ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=200)
+@given(st.tuples(*(st.floats(lo, hi) for lo, hi in zip(LOWER, UPPER))),
+       st.sampled_from(["triangular", "square"]),
+       st.sampled_from([1, 2, 3]))
+def test_shell_side_geometry_is_positive_in_the_box(d, layout, case_id):
+    # evaluate_design divides by both without a guard
+    case = dataclasses.replace(make_case(case_id), layout=layout)
+    design = evaluate_design(case, d)
+    assert design.cross_area > 0.0
+    ratio = {"triangular": 0.71, "square": 0.99}[layout]
+    assert design.d_equiv == pytest.approx(ratio * design.d_o, rel=0.01)
+
 
 def test_fixed_geometric_ratios():
     case = make_case(1)
