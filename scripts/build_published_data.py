@@ -25,9 +25,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
+from snailopt.stats import friedman_ranks  # noqa: E402
 
-from snailopt.stats import friedman_ranks
+OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "snailopt" / "data" / "published_means.json"
 
 ALGORITHMS = ["AVOA", "PSO", "GWO", "FFA", "WOA", "TLBO", "MFO",
               "BBO", "DE", "SSA", "GSA", "IPO", "SHMS"]
@@ -213,7 +213,7 @@ def verify(data: dict) -> None:
     for key, table in data["tables"].items():
         ref = data["rank_tables"][key]
         res = friedman_ranks(table["means"], labels=data["algorithms"])
-        err = np.max(np.abs(res.mean_ranks - np.array(ref["mean_ranks"])))
+        err = max(abs(a - b) for a, b in zip(res.mean_ranks, ref["mean_ranks"]))
         order_ok = list(res.ordering) == list(ref["ranking"])
         print(f"{key:>8}: max mean-rank error {err:.2e}  "
               f"ordering {'ok' if order_ok else 'MISMATCH'}")
@@ -223,9 +223,13 @@ def verify(data: dict) -> None:
         print(f"          computed ranks {[round(v, 4) for v in res.mean_ranks]}")
 
 
+def render(data: dict) -> str:
+    """The text of ``OUT`` for ``data``."""
+    return json.dumps(data, indent=1) + "\n"
+
+
 if __name__ == "__main__":
     data = build()
-    out = pathlib.Path(__file__).resolve().parent.parent / "src" / "snailopt" / "data" / "published_means.json"
-    out.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"wrote {out}")
+    OUT.write_text(render(data))
+    print(f"wrote {OUT}")
     verify(data)

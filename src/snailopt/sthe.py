@@ -148,7 +148,12 @@ class StreamState:
 
 @dataclass(frozen=True)
 class StheCase:
-    """Complete parameter set of one exchanger sizing case."""
+    """Complete parameter set of one exchanger sizing case.
+
+    Construction raises ``ValueError`` for a set no design can meet:
+    streams the wrong way round, a temperature cross, or outlets a
+    single shell pass cannot reach.
+    """
 
     case_id: int
     label: str
@@ -177,6 +182,12 @@ class StheCase:
             raise ValueError(f"no tube-count constants for {self.layout!r} x {self.passes} passes")
         if self.area_convention not in ("duty", "geometry"):
             raise ValueError(f"unknown area convention {self.area_convention!r}")
+        # computed once, here, so evaluation never meets a case-level error
+        try:
+            self.lmtd
+            self.correction_factor
+        except ValueError as exc:
+            raise ValueError(f"case {self.case_id} ({self.label}): {exc}") from None
 
     @cached_property
     def lmtd(self) -> float:
@@ -184,7 +195,7 @@ class StheCase:
         dt1 = self.shell.t_in - self.tube.t_out
         dt2 = self.shell.t_out - self.tube.t_in
         if dt1 <= 0.0 or dt2 <= 0.0:
-            raise DomainError("temperature cross: LMTD undefined")
+            raise ValueError("temperature cross: LMTD undefined")
         if abs(dt1 - dt2) < 1e-12 * max(dt1, dt2):
             return dt1
         return (dt1 - dt2) / math.log(dt1 / dt2)
@@ -200,9 +211,11 @@ class StheCase:
             num = big_p * rad / (1.0 - big_p)
         else:
             num = rad / (big_r - 1.0) * math.log((1.0 - big_p) / (1.0 - big_p * big_r))
-        den = math.log(
-            (2.0 - big_p * (big_r + 1.0 - rad)) / (2.0 - big_p * (big_r + 1.0 + rad))
-        )
+        low = 2.0 - big_p * (big_r + 1.0 + rad)
+        if low <= 0.0:
+            raise ValueError("one shell pass cannot reach these outlet "
+                             "temperatures: LMTD correction F undefined")
+        den = math.log((2.0 - big_p * (big_r + 1.0 - rad)) / low)
         return num / den
 
 

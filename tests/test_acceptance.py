@@ -11,7 +11,6 @@ acceptance section.
 """
 
 import dataclasses
-import itertools
 import json
 import math
 import statistics
@@ -19,7 +18,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
 
 from snailopt.benchmarks import CATALOG, known_optimum, make_benchmark
 from snailopt.harness import (STHE_BUDGETS, CampaignConfig, load_campaign,
@@ -29,7 +27,8 @@ from snailopt.shms import (ShmsConfig, init_colony, run,
                            selection_probabilities, step)
 from snailopt.stats import friedman_ranks, wilcoxon_signed_rank
 from snailopt.sthe import closeness_percent, published_tables, total_cost
-from sthe_profile import case_with_profile
+from build_sthe_data import case_variant
+from rank_oracle import brute_force_p
 
 #: functions whose minimum sits at the origin with value exactly zero
 ORIGIN_ZERO = {"F1", "F2", "F3", "F4", "F7", "F9", "F10", "F11"}
@@ -53,20 +52,6 @@ def _published_means() -> dict:
     from importlib import resources
     ref = resources.files("snailopt.data").joinpath("published_means.json")
     return json.loads(ref.read_text())
-
-
-def _brute_force_p(diffs) -> float:
-    d = np.asarray(diffs, dtype=float)
-    d = d[d != 0.0]
-    ranks = rankdata(np.abs(d))
-    t_low = min(ranks[d > 0].sum(), ranks[d < 0].sum())
-    weights = [int(round(2.0 * r)) for r in ranks]
-    threshold = int(round(2.0 * t_low))
-    tail = sum(
-        1 for signs in itertools.product((0, 1), repeat=len(weights))
-        if sum(w for w, s in zip(weights, signs) if s) <= threshold
-    )
-    return min(1.0, 2.0 * tail / 2.0 ** len(weights))
 
 
 def test_criterion_01_catalog_minimizers_reproduce_their_minima():
@@ -174,7 +159,7 @@ def test_criterion_05_reported_exchanger_columns_reproduce():
     for cid in (1, 2, 3):
         designs = tables["cases"][str(cid)]["designs"]
         mine = next(d for d in designs if d["name"] == "SHMS")
-        case = case_with_profile(cid, mine["profile"])
+        case = case_variant(cid, mine["profile"])
         got = total_cost(case, mine["decision"])
         rel = abs(got - mine["c_total"]) / mine["c_total"]
         ok = ok and rel <= 0.005
@@ -225,7 +210,7 @@ def test_criterion_07_exact_signed_rank_matches_enumeration():
             a = np.concatenate([d.astype(float), np.zeros(pad)])
             res = wilcoxon_signed_rank(a, np.zeros(a.size))
             ok = ok and res.method == "exact"
-            ok = ok and res.p_value == _brute_force_p(a)
+            ok = ok and res.p_value == brute_force_p(a)
             checked += 1
     classic = wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0, 5.0], np.zeros(5))
     ok = ok and classic.p_value == 0.0625

@@ -21,7 +21,7 @@ from snailopt.harness import (CampaignConfig, default_budget, resolve_problem,
                               run_campaign)
 from snailopt.shms import ShmsConfig, run
 from snailopt.sthe import LOWER, UPPER, make_case, published_tables, total_cost
-from sthe_profile import case_with_profile
+from build_sthe_data import case_variant
 
 
 def trajectory_digest(rec) -> str:
@@ -126,7 +126,7 @@ def test_sthe_total_cost_is_pinned():
     original = next(e for e in published_tables()["cases"]["1"]["designs"]
                     if e["name"] == "Original Study")
     cases = [make_case(c) for c in (1, 2, 3)]
-    cases.append(case_with_profile(1, original["profile"]))
+    cases.append(case_variant(1, original["profile"]))
     designs = sthe_pin_designs()
     h = hashlib.sha256()
     for case in cases:

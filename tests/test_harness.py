@@ -280,7 +280,14 @@ def artifacts(out_dir):
     return files
 
 
-def test_pool_writes_the_same_artifacts_as_a_serial_run(tmp_path, monkeypatch):
+# an exchanger case, and two catalog problems with scatter files, one on
+# each side of the engine's float/numpy move kernels
+@pytest.mark.parametrize("problem,dim,scatter,files", [
+    ("sthe1", None, False, 9), ("F16", None, True, 13), ("F1", 200, True, 13)],
+    ids=["sthe1", "F16", "F1-d200"])
+def test_pool_writes_the_same_artifacts_as_a_serial_run(tmp_path, monkeypatch,
+                                                        problem, dim, scatter,
+                                                        files):
     contexts = []
     real_get_context = multiprocessing.get_context
 
@@ -289,14 +296,16 @@ def test_pool_writes_the_same_artifacts_as_a_serial_run(tmp_path, monkeypatch):
         return real_get_context(method)
 
     monkeypatch.setattr(multiprocessing, "get_context", spy)
-    cfg = small_cfg(tmp_path / "camp", export_scatter=True)
+    # both sides write to one directory: summary.json records out_dir
+    cfg = CampaignConfig(problem=problem, dim=dim, trials=4, max_evals=2000,
+                         export_scatter=scatter, out_dir=str(tmp_path / "camp"))
     serial = run_campaign(cfg, workers=1)
     assert contexts == []
     (tmp_path / "camp").rename(tmp_path / "serial")
     pooled = run_campaign(cfg, workers=2)
     assert contexts == ["fork"]
     assert artifacts(tmp_path / "camp") == artifacts(tmp_path / "serial")
-    assert len(artifacts(tmp_path / "camp")) == 3 * cfg.trials + 1
+    assert len(artifacts(tmp_path / "camp")) == files
     assert dataclasses.replace(pooled, avg_wall_time=0.0) == \
         dataclasses.replace(serial, avg_wall_time=0.0)
 
@@ -916,6 +925,30 @@ def test_numpy_loads_before_the_pool_forks(tmp_path):
     proc = run_python(NUMPY_BEFORE_THE_POOL, str(tmp_path / "camp"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, True]"
+
+
+#: run in a fresh interpreter pinned to one CPU: does run start a pool?
+PINNED_RUN = """
+import multiprocessing, os, sys
+from snailopt import cli
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+def no_pool(method=None):
+    raise RuntimeError("a pool was started")
+
+multiprocessing.get_context = no_pool
+code = cli.main(["run", "--problem", "F16", "--trials", "3",
+                 "--max-evals", "300", "--out", sys.argv[1]])
+print(cli.usable_cpus(), code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_run_pinned_to_one_cpu_is_serial(tmp_path):
+    proc = run_python(PINNED_RUN, str(tmp_path / "camp"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 0"
 
 
 def test_cli_import_loads_no_pool_machinery():

@@ -12,7 +12,7 @@ from snailopt.sthe import (INFEASIBLE_COST, LOWER, UPPER, DomainError,
                            closeness_direction, closeness_percent,
                            evaluate_design, make_case, make_problem,
                            published_tables, total_cost)
-from sthe_profile import case_with_profile
+from build_sthe_data import case_variant
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +82,15 @@ def with_outlets(shell_out, tube_out, case_id=1):
 
 def test_a_temperature_cross_is_out_of_domain():
     # the tube stream leaves at 100 degC, above the shell inlet's 95
-    case = with_outlets(40.0, 100.0)
-    with pytest.raises(DomainError, match="temperature cross"):
-        case.lmtd
-    assert total_cost(case, [0.02, 0.8, 0.3, 4.0]) == INFEASIBLE_COST
+    with pytest.raises(ValueError, match=r"^case 1 \(.*\): temperature cross"):
+        with_outlets(40.0, 100.0)
+
+
+def test_outlets_one_shell_pass_cannot_reach_are_refused():
+    # 95 -> 40 against 25 -> 80 degC: R = 1 and P = 0.79, beyond what a
+    # single shell pass can exchange, so F has no value
+    with pytest.raises(ValueError, match=r"^case 1 \(.*\): one shell pass"):
+        with_outlets(40.0, 80.0)
 
 
 def test_equal_capacity_rates_take_the_limits_of_the_general_forms():
@@ -258,7 +263,7 @@ def test_best_reported_designs_reproduce_their_totals(tables):
     for cid in (1, 2, 3):
         designs = {d["name"]: d for d in tables["cases"][str(cid)]["designs"]}
         entry = designs["SHMS"]
-        case = case_with_profile(cid, entry["profile"])
+        case = case_variant(cid, entry["profile"])
         got = total_cost(case, entry["decision"])
         assert got == pytest.approx(entry["c_total"], rel=5e-3), (cid, got)
 
@@ -285,7 +290,7 @@ def test_every_stored_profile_recomputes_its_model_total(tables):
                 assert entry["exclude_reason"]
                 continue
             profile = entry["profile"]
-            case = case_with_profile(cid, profile)
+            case = case_variant(cid, profile)
             got = total_cost(case, entry["decision"])
             assert got == pytest.approx(profile["model_c_total"], rel=1e-12)
             rel = abs(got - entry["c_total"]) / entry["c_total"]
