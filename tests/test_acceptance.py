@@ -11,7 +11,6 @@ acceptance section.
 """
 
 import dataclasses
-import json
 import math
 import statistics
 import time
@@ -20,6 +19,7 @@ import numpy as np
 import pytest
 
 from snailopt.benchmarks import CATALOG, known_optimum, make_benchmark
+from snailopt.data import load
 from snailopt.harness import (STHE_BUDGETS, CampaignConfig, load_campaign,
                               run_campaign)
 from snailopt.objective import EvalCounter, evaluate
@@ -46,12 +46,6 @@ def _verdict(num: int, ok: bool, detail: str, t0: float) -> None:
     print(f"criterion {num:02d}: {status} — {detail} "
           f"[{time.perf_counter() - t0:.2f}s, informational]")
     assert ok, f"criterion {num:02d}: {detail}"
-
-
-def _published_means() -> dict:
-    from importlib import resources
-    ref = resources.files("snailopt.data").joinpath("published_means.json")
-    return json.loads(ref.read_text())
 
 
 def test_criterion_01_catalog_minimizers_reproduce_their_minima():
@@ -227,7 +221,7 @@ def test_criterion_08_rank_tables_reproduce_from_bundled_means():
     the data file documents every such cell.
     """
     t0 = time.perf_counter()
-    data = _published_means()
+    data = load("published_means.json")
     algorithms = data["algorithms"]
     ok = True
     worst = 0.0

@@ -1,42 +1,66 @@
 """Benchmark catalog tests: minimizer oracles, shapes, and edge cases."""
 
+import math
+
 import numpy as np
 import pytest
 
 from snailopt.benchmarks import (CANONICAL_DIMS, CATALOG, known_optimum,
                                  make_benchmark)
-from snailopt.objective import EvalCounter, evaluate
 
-#: functions whose minimum sits at the origin with value exactly zero
-ORIGIN_ZERO = {"F1", "F2", "F3", "F4", "F7", "F9", "F10", "F11"}
+#: Round-off allowed around a stored optimum, in ulp of ``f_min`` (of 1.0
+#: where ``f_min`` is 0).  Measured: ``f(x_min)`` is ``f_min`` exactly
+#: except F8 (1-3 ulp below, d = 30 to 1000), F10 (2 ulp of 1.0 above 0)
+#: and F12/F13 (below 1.6e-32); the closest lower neighbour found is 3 ulp
+#: below ``f_min`` on F15 and 112 ulp on F18.
+ROUNDOFF_ULPS = 4
+#: Goldstein-Price (F18) is >= 3 everywhere, but its computed value falls
+#: as far as 176 ulp below 3 within 1e-8 of (0, -1), so a neighbour that
+#: evaluates below 3 is round-off, not a better point.
+F18_ROUNDOFF_ULPS = 256
 
 
 @pytest.mark.parametrize("fid", list(CATALOG))
 def test_catalog_minimizer_reproduces_minimum(fid):
-    problem = make_benchmark(fid)
-    f_min, x_min = known_optimum(fid)
-    value = evaluate(problem, x_min, EvalCounter())
-    tol = 1e-8 if fid in ORIGIN_ZERO else 1e-4
-    assert abs(value - f_min) <= tol, (fid, value, f_min)
+    """The stored ``(f_min, x_min)`` is exact and locally minimal.
+
+    A fixed-dimension entry runs at its own dimension, a scalable one at
+    each of CANONICAL_DIMS, F7 without noise.  At each, the shapes match
+    and ``f(x_min)`` is ``f_min`` within ROUNDOFF_ULPS.  At the first
+    (d = 30 for scalable entries), no step of one coordinate by +-1, 16,
+    256 or 4,096 ulp, and none of twenty random 1e-4 nudges, evaluates
+    below ``f_min`` by more than the round-off bound; stepping every
+    coordinate at d = 100 to 1000 as well would take seconds.
+    """
+    spec = CATALOG[fid]
+    dims = (spec.fixed_dim,) if spec.fixed_dim else CANONICAL_DIMS
+    for dim in dims:
+        problem = make_benchmark(fid, dim)
+        f_min, x_min = known_optimum(fid, dim)
+        assert problem.dim == dim and x_min.shape == (dim,), (fid, dim)
+        ulp = math.ulp(f_min or 1.0)
+        value = problem.func(x_min)
+        assert abs(value - f_min) <= ROUNDOFF_ULPS * ulp, (fid, dim, value, f_min)
+        if dim != dims[0]:
+            continue
+        floor = f_min - (F18_ROUNDOFF_ULPS if fid == "F18" else ROUNDOFF_ULPS) * ulp
+        for i in range(dim):
+            for k in (1, 16, 256, 4096):
+                for step in (k, -k):
+                    x = x_min.copy()
+                    x[i] += step * math.ulp(x_min[i])
+                    assert problem.func(x) >= floor, (fid, i, step)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            x = x_min + rng.normal(size=dim) * 1e-4
+            assert problem.func(x) >= floor, (fid, x)
 
 
 @pytest.mark.parametrize("fid", list(CATALOG))
 def test_minimizer_lies_inside_box(fid):
     problem = make_benchmark(fid)
     _, x_min = known_optimum(fid)
-    assert x_min.shape == (problem.dim,)
     assert np.all(x_min >= problem.lower) and np.all(x_min <= problem.upper)
-
-
-@pytest.mark.parametrize("dim", CANONICAL_DIMS)
-def test_scalable_functions_scale(dim):
-    for fid in ("F1", "F8", "F9"):
-        problem = make_benchmark(fid, dim)
-        assert problem.dim == dim
-        f_min, x_min = known_optimum(fid, dim)
-        value = evaluate(problem, x_min, EvalCounter())
-        tol = 1e-8 if fid in ORIGIN_ZERO else 1e-4 * dim / 30.0
-        assert abs(value - f_min) <= tol, (fid, dim, value, f_min)
 
 
 def test_fixed_dim_functions_reject_other_dims():
@@ -55,18 +79,6 @@ def test_scalable_functions_reject_one_dimension():
 def test_unknown_id_rejected():
     with pytest.raises(KeyError):
         make_benchmark("F24")
-
-
-def test_minimum_is_locally_minimal():
-    # nudging the minimizer in a few random directions never improves it
-    rng = np.random.default_rng(0)
-    for fid in ("F1", "F8", "F9", "F10", "F16", "F19", "F22"):
-        problem = make_benchmark(fid)
-        f_min, x_min = known_optimum(fid)
-        for _ in range(20):
-            step = rng.normal(size=problem.dim) * 1e-4
-            x = np.clip(x_min + step, problem.lower, problem.upper)
-            assert problem.func(x) >= f_min - 1e-9, fid
 
 
 def test_quartic_noise_stream_is_callers():
@@ -89,29 +101,3 @@ def test_product_term_function_survives_extreme_inputs():
     problem = make_benchmark("F2", 1000)
     value = problem.func(problem.upper.copy())
     assert np.isfinite(value) and value > 0.0
-
-
-def test_reference_values_spot_checks():
-    # fixed-dimension minima against their catalogued constants
-    expect = {
-        "F14": 0.9980038377944498,
-        "F15": 3.074859878056051e-4,
-        "F16": -1.0316284534898774,
-        "F17": 0.39788735772973816,
-        "F18": 3.0,
-        "F19": -3.862779787332663,
-        "F20": -3.3223680114155147,
-        "F21": -10.153199679058229,
-        "F22": -10.402940566818662,
-        "F23": -10.536409816692045,
-    }
-    for fid, ref in expect.items():
-        f_min, _ = known_optimum(fid)
-        assert abs(f_min - ref) < 1e-12, fid
-
-
-def test_schwefel_minimum_scales_per_dimension():
-    f30, _ = known_optimum("F8", 30)
-    f100, _ = known_optimum("F8", 100)
-    assert abs(f30 / 30 - f100 / 100) < 1e-9
-    assert abs(f30 - 30 * -418.9828872724336) < 1e-6
