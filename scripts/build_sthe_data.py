@@ -8,8 +8,10 @@ share every modelling convention: tube-side fouling, the tube-elbow
 loss constant, the pitch layout and the pump-efficiency treatment all
 vary between sources.  For each reference column this script fits the
 small discrete convention set that best reproduces the printed total
-cost, stores the fitted profile alongside the data, and prints a
-verification summary (our chain vs. every printed C_total).
+cost and stores the fitted profile alongside the data.  The tests
+check that the committed file is this script's output byte for byte and
+that every stored profile recomputes its model total; acceptance
+criterion 05 checks the reproduction itself.
 
 Run from the repository root:
 
@@ -26,8 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from snailopt.sthe import (DomainError, closeness_percent,  # noqa: E402
-                           evaluate_design, make_case)
+from snailopt.sthe import DomainError, evaluate_design, make_case  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "snailopt" / "data" / "sthe_published.json"
 
@@ -374,66 +375,16 @@ def build():
     return data
 
 
-def verify(data):
-    print("=== reproduction summary ===")
-    failures = 0
-    for case_id in (1, 2, 3):
-        block = data["cases"][str(case_id)]
-        shms = next(e for e in block["designs"] if e["name"] == "SHMS")
-        err = shms["profile"]["rel_error"]
-        ok = err < 0.005
-        print(f"case {case_id}: SHMS column rel err {err:.2e} "
-              f"({'OK' if ok else 'FAIL'} vs 0.5%)")
-        if not ok:
-            failures += 1
-        others = [e for e in block["designs"] if e["name"] != "SHMS" and not e["excluded"]]
-        within = [e for e in others if e["profile"]["rel_error"] <= 0.02]
-        print(f"  other columns within 2%: {len(within)}/{len(others)} "
-              f"(excluded: {sum(e['excluded'] for e in block['designs'])})")
-        for e in others:
-            p = e["profile"]
-            tag = "ok  " if p["rel_error"] <= 0.02 else "MISS"
-            print(f"    {tag} {e['name']:<15} printed={e['c_total']:>12.2f} "
-                  f"model={p['model_c_total']:>12.2f} err={p['rel_error']*100:6.2f}% "
-                  f"fouling={p['tube_fouling']:g} p={p['elbow_loss']:g} "
-                  f"{p['layout'][:3]}/{p['area_convention'][:4]} n_t={p['passes']} "
-                  f"eta={p['pump_efficiency']:g}{'(all)' if p['efficiency_on_shell'] else ''}")
-        # bar: at most 4 irreproducible columns per case (= 8-of-12 for
-        # the one case that actually has 12 comparison columns)
-        if len(others) - len(within) > 4:
-            failures += 1
-            print(f"  *** more than 4 outlier columns for case {case_id}")
-
-    print("=== closeness spot checks ===")
-    for case_id in (1, 2, 3):
-        best = PERFORMANCE[case_id]["best"]
-        for row in data["closeness"][str(case_id)]:
-            expect = closeness_percent(row["c_total"], best)
-            # the comparison table prints magnitudes plus a direction flag
-            printed = row["closeness_percent"]
-            if row["direction"] == "down":
-                printed = -printed
-            gap = abs(expect - printed)
-            flag = "" if gap < 0.001 else f"  <-- printed value off by {gap:.4f}pp"
-            if row["name"] == "ARGA" or flag:
-                print(f"case {case_id} {row['name']:<15} computed {expect:8.4f} "
-                      f"printed {printed:8.4f}{flag}")
-    return failures
-
-
 def render(data):
     """The text of ``OUT`` for ``data``."""
     return json.dumps(data, indent=1)
 
 
 def main():
-    data = build()
-    failures = verify(data)
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(render(data))
-    print(f"wrote {OUT} ({OUT.stat().st_size} bytes), failures={failures}")
-    return 0 if failures == 0 else 1
+    OUT.write_text(render(build()))
+    print(f"wrote {OUT} ({OUT.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -348,6 +348,8 @@ def _resolve_dim(spec: BenchmarkSpec, dim: int | None) -> int:
         return 30
     if dim < 2:
         raise ValueError(f"{spec.fid} needs dim >= 2; got {dim}")
+    if dim != int(dim):
+        raise ValueError(f"{spec.fid} needs an integral dim; got {dim}")
     return int(dim)
 
 

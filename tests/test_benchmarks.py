@@ -74,6 +74,12 @@ def test_fixed_dim_functions_reject_other_dims():
 def test_scalable_functions_reject_one_dimension():
     with pytest.raises(ValueError, match="F1 needs dim >= 2; got 1"):
         make_benchmark("F1", 1)
+    with pytest.raises(ValueError, match="F1 needs an integral dim; got 30.7"):
+        make_benchmark("F1", 30.7)
+    with pytest.raises(ValueError, match="integral"):
+        known_optimum("F1", 2.9)
+    assert make_benchmark("F1", 30.0).dim == 30
+    assert known_optimum("F1", np.int64(5))[1].shape == (5,)
 
 
 def test_unknown_id_rejected():

@@ -1,7 +1,6 @@
 """Engine tests: mating operators, the trail-following move, and full runs."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -514,22 +513,37 @@ def test_emigrants_mate_and_move_again_in_a_later_home(fid, dim, seed, monkeypat
        st.integers(min_value=0, max_value=2 ** 31 - 1),
        st.integers(min_value=1, max_value=8),
        st.integers(min_value=2, max_value=10),
-       st.floats(min_value=0.0, max_value=1.0))
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=200))
 def test_small_random_runs_hold_the_core_invariants(dim, seed, homes, snails,
-                                                     switch):
-    problem = sphere(dim=dim)
+                                                     switch, extra):
+    # the box is asymmetric around the optimum, so a move that leaves it
+    # is not pulled back by the objective alone
+    problem = sphere(dim=dim, lo=-2.0, hi=1.0)
     cfg = ShmsConfig(homes=homes, snails_per_home=snails,
-                     home_switch_prob=switch, max_evals=200, seed=seed)
-    occupied = []
-    rec = run(problem, cfg, observer=lambda colony: occupied.append(
-        {s.home_id for s in colony.snails}))
+                     home_switch_prob=switch,
+                     max_evals=homes * snails + extra, seed=seed)
+    occupied, inside = [], []
+
+    def observer(colony):
+        occupied.append({s.home_id for s in colony.snails})
+        inside.extend(bool(np.all(s.x >= problem.lower)
+                           and np.all(s.x <= problem.upper))
+                      for s in colony.snails)
+
+    rec = run(problem, cfg, observer=observer)
     # no home is ever empty, so step needs no guard for one: a home's
     # snails emigrate only in its own turn, and its fecund snail stays
     assert occupied == [set(range(homes))] * len(rec.best_trace)
+    assert inside and all(inside)
     again = run(problem, cfg)
     assert rec.best_trace == again.best_trace
-    assert rec.evals <= cfg.max_evals
+    assert np.array_equal(rec.final_x, again.final_x)
+    assert rec.evals == again.evals
+    assert homes * snails <= rec.evals <= cfg.max_evals
     assert all(a >= b for a, b in zip(rec.best_trace, rec.best_trace[1:]))
-    assert rec.final_f == rec.best_trace[-1]
+    assert rec.final_f == rec.best_trace[-1] == problem.func(rec.final_x)
     assert np.all(rec.final_x >= problem.lower)
     assert np.all(rec.final_x <= problem.upper)
+    assert rec.seed == seed
+    assert rec.wall_time >= 0.0

@@ -687,6 +687,9 @@ def test_report_headers_match_the_documented_columns(tmp_path):
         assert header.split(",") == list(schemas[f"report: {name}"]["columns"])
     rows = read_table_csv(tmp_path / "wilcoxon_pairwise.csv")
     assert [row["winner"] for row in rows] == ["no information"]
+    documented = schemas["report: closeness_sthe.csv"]["columns"]["direction"]
+    rows = read_table_csv(tmp_path / "closeness_sthe.csv")
+    assert rows and all(row["direction"] in documented for row in rows)
 
 
 def damaged_summaries(payload):
