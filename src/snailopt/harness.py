@@ -197,6 +197,8 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object; got {d!r}")
         d = dict(d)
         if (schema := d.pop("schema", CONFIG_SCHEMA)) != CONFIG_SCHEMA:
             raise ValueError(f"config key 'schema' must be {CONFIG_SCHEMA!r}; got {schema!r}")
@@ -345,6 +347,8 @@ def read_trial_record(path) -> dict:
     d = json.loads(Path(path).read_text())
     if not isinstance(d, dict) or d.get("schema") != TRIAL_SCHEMA:
         raise ValueError(f"{path}: not a {TRIAL_SCHEMA} file")
+    if not all(type(d.get(k)) in (int, float) for k in ("final_f", "evals", "wall_time")):
+        raise ValueError(f"{path}: final_f, evals and wall_time must be numbers")
     return d
 
 
@@ -553,12 +557,15 @@ def load_campaign(summary_path) -> tuple[CampaignConfig, CampaignSummary, dict]:
 
     Returns the parsed config, a summary *recomputed from the per-trial
     record files* (so corruption or hand-editing is caught), and the
-    raw summary payload.
+    raw summary payload.  A file of the wrong shape raises ``ValueError``.
     """
     payload = read_summary(summary_path)
     cfg = CampaignConfig.from_dict(payload["config"])
+    names = payload["record_files"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"{summary_path}: 'record_files' must be a list of file names")
     base = Path(summary_path).parent
-    records = [read_trial_record(base / name) for name in payload["record_files"]]
+    records = [read_trial_record(base / name) for name in names]
     return cfg, summarize(cfg, records), payload
 
 

@@ -36,12 +36,12 @@ has stopped improving.
 All randomness flows through a single ``numpy.random.Generator`` seeded
 from the config, so runs are bit-reproducible.
 
-On a home's ten-odd values numpy's per-call overhead outweighs the
-arithmetic, so mating runs on Python floats.  The move is one function,
-:func:`trail_following_update`; its arithmetic runs on Python floats up
-to ``FLOAT_MOVE_DIM`` dimensions (every fixed-dimension function and
-exchanger case; numpy wins from d of about 15-20) and on arrays above.
-Both repeat numpy's operations in numpy's order: the same bits.
+A home's mating (steps 1-3) is one pass on Python floats, :func:`_mate`.
+The move is one function, :func:`trail_following_update`; its
+arithmetic runs on Python floats up to ``FLOAT_MOVE_DIM`` dimensions
+(every fixed-dimension function and exchanger case; numpy wins from d
+of about 15-20) and on arrays above.  Both repeat numpy's operations in
+numpy's order: the same bits.
 """
 
 from __future__ import annotations
@@ -63,11 +63,7 @@ __all__ = [
     "RunRecord",
     "ShmsConfig",
     "SnailState",
-    "fecundity_index",
     "init_colony",
-    "love_dart_raw",
-    "normalize_ld",
-    "roulette_select",
     "run",
     "selection_probabilities",
     "step",
@@ -205,25 +201,8 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# mating operators
+# mating
 # ---------------------------------------------------------------------------
-
-def fecundity_index(f0: float, f1: float, f2: float, rng: np.random.Generator) -> float:
-    """Recent-improvement ratio ``|f0-f1| / |f0-f2|`` with random fallback.
-
-    ``f0`` is the current objective value, ``f1`` and ``f2`` the values
-    one and two iterations ago.  Whenever the ratio is degenerate (zero
-    numerator, vanishing denominator, or a non-finite quotient) a
-    uniform [0, 1) draw is returned instead, which keeps mating activity
-    alive on plateaus and during the first iterations.
-    """
-    den = abs(f0 - f2)
-    if den > _EPS_DEN:
-        q = abs(f0 - f1) / den
-        if q != 0.0 and math.isfinite(q):
-            return q
-    return float(rng.random())
-
 
 def selection_probabilities(values) -> list[float]:
     """Mate-selection probabilities, inversely proportional to objective.
@@ -248,39 +227,43 @@ def selection_probabilities(values) -> list[float]:
     return [v / total for v in w]
 
 
-def roulette_select(probabilities, rng: np.random.Generator) -> int:
-    """Sample one index via cumulative-sum inversion of a single uniform."""
-    cum = list(accumulate(probabilities))
-    return min(bisect_right(cum, rng.random()), len(cum) - 1)
+def _mate(members: list[SnailState], rng: np.random.Generator) -> tuple[int, list[float]]:
+    """One home's mating: the fecund snail's index in ``members`` and, in
+    member order, the other members' normalized love darts.
 
+    A snail's fecundity index ``I`` is its recent-improvement ratio
+    ``|f0-f1| / |f0-f2|`` over ``f_hist``, or a uniform [0, 1) draw where
+    that ratio is degenerate (zero numerator, vanishing denominator or a
+    non-finite quotient), which keeps mating alive on plateaus and in the
+    first iterations.  One more uniform picks the fecund snail by
+    cumulative-sum inversion of :func:`selection_probabilities`.  So the
+    draws come in member order, the fecund snail's included, then the
+    roulette's.
 
-def love_dart_raw(I: float, f_s: float, f_fecund: float) -> float:
-    """Raw love-dart value ``1 / (I * (f_s - f_fecund))``.
-
-    Exact ties with the fecund snail (and any quotient that overflows)
-    map to ``±LARGE_LD``, which :func:`normalize_ld` saturates to 1.0.
+    Every other snail's love dart is ``1 / (I * (f_s - f_fecund))``.  A tie
+    with the fecund snail, or a dart of magnitude ``LARGE_LD`` or more (an
+    infinite one included), saturates to 1.0; the others are min-max
+    normalized among themselves, all to 0.5 when their range is degenerate.
     """
-    gap = f_s - f_fecund
-    if abs(gap) <= _EPS_DEN:
-        return LARGE_LD
-    v = 1.0 / (I * gap)
-    if not math.isfinite(v):
-        return math.copysign(LARGE_LD, gap)
-    return v
-
-
-def normalize_ld(raw) -> list[float]:
-    """Normalize one home's raw love darts to [0, 1].
-
-    A value of magnitude ``LARGE_LD`` or more saturates to 1.0; the
-    others are min-max normalized among themselves, all to 0.5 when
-    their range is degenerate.
-    """
-    finite = [r for r in raw if abs(r) < LARGE_LD]
-    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
+    fecundity = []
+    for s in members:
+        f0, f1, f2 = s.f_hist
+        den = abs(f0 - f2)
+        q = abs(f0 - f1) / den if den > _EPS_DEN else 0.0
+        fecundity.append(q if q != 0.0 and math.isfinite(q) else rng.random())
+    cum = list(accumulate(selection_probabilities([s.f for s in members])))
+    k = min(bisect_right(cum, rng.random()), len(cum) - 1)
+    f_k, darts = members[k].f, []
+    for j, (s, fi) in enumerate(zip(members, fecundity)):
+        if j != k:
+            gap = s.f - f_k
+            p = fi * gap  # 0.0 when fi is 0.0 or the product underflows: an infinite dart
+            darts.append(1.0 / p if p and abs(gap) > _EPS_DEN else math.inf)
+    kept = [r for r in darts if abs(r) < LARGE_LD]
+    lo, hi = min(kept, default=0.0), max(kept, default=0.0)
     span = hi - lo
-    return [1.0 if abs(r) >= LARGE_LD else (r - lo) / span if span > _EPS_DEN
-            else 0.5 for r in raw]
+    return k, [1.0 if abs(r) >= LARGE_LD else (r - lo) / span if span > _EPS_DEN
+               else 0.5 for r in darts]
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +402,12 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
     """Advance the colony by one iteration (budget-safe, in place).
 
     Homes are processed in id order and their members in stable snail
-    order, so a run is fully determined by the seed.  Per home: compute
-    fecundity indices, roulette-select the fecund snail, compute and
-    normalize love darts (:func:`normalize_ld`), then move every snail
-    except the fecund one (:func:`trail_following_update`, whose
-    ``None`` skips the evaluation).  Emigration moves are always
-    accepted; trail-following moves only if they do not get worse.
+    order, so a run is fully determined by the seed.  Per home: mate
+    (:func:`_mate` picks the fecund snail and the others' love darts),
+    then move every snail except the fecund one
+    (:func:`trail_following_update`, whose ``None`` skips the
+    evaluation).  Emigration moves are always accepted; trail-following
+    moves only if they do not get worse.
 
     The evaluation budget is checked before each home's mating and
     before every move: once it is spent the iteration stops, leaving
@@ -438,13 +421,9 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
         # never empty: init_colony gives every home >= 2 snails, and a
         # home's snails leave only in its own turn, never the fecund one
         members = colony.members(h)
-        fecundity = [fecundity_index(*s.f_hist, rng) for s in members]
-        probs = selection_probabilities([s.f for s in members])
-        k = roulette_select(probs, rng)
-        fecund = members.pop(k)
-        del fecundity[k]
-        raws = [love_dart_raw(fi, s.f, fecund.f) for fi, s in zip(fecundity, members)]
-        for s, ld in zip(members, normalize_ld(raws)):
+        k, darts = _mate(members, rng)
+        del members[k]
+        for s, ld in zip(members, darts):
             if colony.counter.count >= cfg.max_evals:
                 break
             s.ld_norm = ld

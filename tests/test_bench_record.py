@@ -1,0 +1,32 @@
+"""``scripts/bench_record.py``'s pair comparison, on hand-made runs: a
+speed claim rests on its medians, base quartiles and win counts."""
+
+from bench_record import compare
+
+END_TO_END = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+              {"name": "evals_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+
+def side(wall, evals):
+    """One side's runs as ``paired`` collects them: (fingerprint, result)."""
+    return [("fp", {"metrics": {"wall_s": {"value": w}, "evals_per_s": {"value": e}}})
+            for w, e in zip(wall, evals)]
+
+
+def test_compare_counts_wins_in_each_metrics_better_direction():
+    base_wall, tree_wall = [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.0, 3.5, 3.0, 1.0]
+    base_evals, tree_evals = [10.0, 20.0, 30.0, 40.0, 50.0], [11.0, 20.0, 29.0, 50.0, 49.0]
+    got = compare({"base": side(base_wall, base_evals),
+                   "tree": side(tree_wall, tree_evals)}, END_TO_END)
+    assert got == {
+        # lower is better: pairs 1, 4 and 5 are wins, the tie in pair 2 is not
+        "wall_s": {"unit": "s", "better": "lower", "base": base_wall, "tree": tree_wall,
+                   "base_median": 3.0, "tree_median": 2.0,
+                   "base_quartiles": [2.0, 4.0],  # inclusive; exclusive is 1.5, 4.5
+                   "tree_wins": 3},
+        # higher is better: pairs 1 and 4 are wins, the tie in pair 2 is not
+        "evals_per_s": {"unit": "1/s", "better": "higher",
+                        "base": base_evals, "tree": tree_evals,
+                        "base_median": 30.0, "tree_median": 29.0,
+                        "base_quartiles": [20.0, 40.0], "tree_wins": 2},
+    }

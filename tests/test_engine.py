@@ -1,6 +1,8 @@
 """Engine tests: mating operators, the trail-following move, and full runs."""
 
 import dataclasses
+import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,10 +13,9 @@ from scipy import stats as sps
 from snailopt.benchmarks import make_benchmark
 from snailopt.objective import BoundedProblem, EvalCounter
 from snailopt.shms import (FLOAT_MOVE_DIM, LARGE_LD, Anchor, ColonyState,
-                           ShmsConfig, SnailState, fecundity_index,
-                           init_colony, love_dart_raw, normalize_ld,
-                           roulette_select, run, selection_probabilities,
-                           step, trail_following_update)
+                           ShmsConfig, SnailState, _mate, init_colony, run,
+                           selection_probabilities, step,
+                           trail_following_update)
 
 
 def sphere(dim=3, lo=-5.0, hi=5.0, shift=0.0):
@@ -51,74 +52,114 @@ def make_colony(problem, positions, home_ids, c_value=0.5):
 
 
 # ---------------------------------------------------------------------------
-# fecundity index
+# mating: fecundity, the fecund snail's roulette, love darts
 # ---------------------------------------------------------------------------
 
+class Uniforms:
+    """Stands in for the generator: ``random()`` returns the given
+    uniforms in turn, and one draw too many fails."""
+
+    def __init__(self, *us):
+        self.us = list(us)
+
+    def random(self):
+        return self.us.pop(0)
+
+
+def snail(f, fecundity=0.5, hist=None):
+    """A snail at value ``f`` whose history ``(f, f + fecundity, f + 1)``
+    has that fecundity index exactly (for dyadic values), or ``hist``."""
+    return SnailState(x=np.zeros(1), f=f, f_hist=hist or (f, f + fecundity, f + 1.0),
+                      home_id=0)
+
+
 def test_fecundity_index_is_recent_improvement_ratio():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    assert fecundity_index(5.0, 7.0, 9.0, rng) == 0.5
-    assert fecundity_index(1.0, 4.0, 2.0, rng) == 3.0
-    # the regular path must not consume the random stream
-    assert rng.bit_generator.state == state
+    # histories (5, 7, 9) and (1, 4, 2) give 2/4 and 3/1; the regular path
+    # draws nothing, so the roulette's 0.0 (the first snail) is the only draw
+    home = [snail(0.0), snail(5.0, hist=(5.0, 7.0, 9.0)),
+            snail(1.0, hist=(1.0, 4.0, 2.0)), snail(2.0, 0.25)]
+    rng = Uniforms(0.0)
+    k, darts = _mate(home, rng)
+    assert k == 0 and rng.us == []
+    raw = [1 / (0.5 * 5.0), 1 / (3.0 * 1.0), 1 / (0.25 * 2.0)]
+    lo, hi = min(raw), max(raw)
+    assert darts == [(r - lo) / (hi - lo) for r in raw]
 
 
 def test_fecundity_index_degenerate_falls_back_to_uniform():
-    for args in [(3.0, 3.0, 3.0),   # flat history: zero/zero
-                 (3.0, 3.0, 9.0),   # zero numerator
-                 (3.0, 7.0, 3.0)]:  # vanishing denominator
-        value = fecundity_index(*args, np.random.default_rng(42))
-        assert value == np.random.default_rng(42).random()
-        assert 0.0 <= value < 1.0
+    # a degenerate history draws one uniform: in member order, the fecund
+    # snail's (0.875, unused) too, and before the roulette's 0.0
+    for hist in [(3.0, 3.0, 3.0),        # flat history: zero/zero
+                 (3.0, 3.0, 9.0),        # zero numerator
+                 (3.0, 7.0, 3.0),        # vanishing denominator
+                 (3.0, math.inf, 9.0)]:  # non-finite quotient
+        home = [snail(0.0, hist=(0.0, 0.0, 0.0)), snail(1.0),
+                snail(3.0, hist=hist), snail(2.0, 1.0)]
+        rng = Uniforms(0.875, 0.25, 0.0)
+        k, darts = _mate(home, rng)
+        assert k == 0 and rng.us == [], hist
+        raw = [1 / (0.5 * 1.0), 1 / (0.25 * 3.0), 1 / (1.0 * 2.0)]
+        lo, hi = min(raw), max(raw)
+        assert darts == [(r - lo) / (hi - lo) for r in raw], hist
 
-
-# ---------------------------------------------------------------------------
-# love darts
-# ---------------------------------------------------------------------------
 
 def test_love_dart_raw_examples():
-    assert love_dart_raw(0.5, 3.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert love_dart_raw(2.0, 1.0, 3.0) == -0.25
-    assert love_dart_raw(4.0, 2.5, 2.0) == 0.5
+    # 1 / (I * (f_s - f_fecund)) against the fecund snail at 1.0, with
+    # I = 0.5, 2 and 4: 1, -0.25 and 0.5, then min-max normalized
+    home = [snail(1.0), snail(3.0, 0.5), snail(-1.0, 2.0), snail(1.5, 4.0)]
+    k, darts = _mate(home, Uniforms(0.0))
+    assert k == 0
+    raw = [1 / (0.5 * 2.0), 1 / (2.0 * -2.0), 1 / (4.0 * 0.5)]
+    assert darts == [(r + 0.25) / 1.25 for r in raw]
 
 
-def test_love_dart_raw_tie_maps_to_sentinel():
-    assert love_dart_raw(0.7, 2.0, 2.0) == LARGE_LD
-    assert love_dart_raw(0.7, 2.0, 2.0 + 1e-31) == LARGE_LD
-
-
-def test_love_dart_raw_overflow_keeps_gap_sign():
-    # quotient overflows a float: the sentinel carries the gap's sign
-    assert love_dart_raw(1e-320, 3.0, 2.0) == LARGE_LD
-    assert love_dart_raw(1e-320, 2.0, 3.0) == -LARGE_LD
+def test_love_dart_ties_and_overflows_saturate_to_one():
+    # a tie (within 1e-30), a quotient that overflows (either sign), a
+    # finite dart of LARGE_LD or more and a zero fecundity all give 1.0;
+    # the other darts are min-max normalized among themselves
+    up, down = math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0)
+    saturated = [snail(0.0), snail(1e-31),
+                 snail(1.0, hist=(1.0, up, 1e300)),       # I ~ 2e-316
+                 snail(-1.0, hist=(-1.0, down, -1e300)),
+                 snail(2.0 ** -60, 2.0 ** -50),            # dart 2 ** 110
+                 snail(5.0, hist=(5.0, 5.0, 5.0))]         # draws I = 0.0
+    assert 1 / (2.0 ** -50 * 2.0 ** -60) >= LARGE_LD
+    home = [snail(0.0), *saturated, snail(1.0), snail(2.0), snail(4.0)]
+    rng = Uniforms(0.0, 0.0)
+    k, darts = _mate(home, rng)
+    assert k == 0 and rng.us == []
+    raw = [1 / (0.5 * 1.0), 1 / (0.5 * 2.0), 1 / (0.5 * 4.0)]
+    assert darts == [1.0] * len(saturated) + [(r - 0.5) / 1.5 for r in raw]
 
 
 def test_normalize_ld_examples():
-    assert np.allclose(normalize_ld([0.0, 5.0, 10.0]), [0.0, 0.5, 1.0])
-    assert np.allclose(normalize_ld([-0.25, 1.0]), [0.0, 1.0])
-    assert np.allclose(normalize_ld([7.0, 7.0, 7.0]), 0.5)
-    assert np.allclose(normalize_ld([4.0]), 0.5)
-    # love_dart_raw's tie and overflow values map to 1.0 and stay out of
-    # the others' min-max range
-    assert normalize_ld([LARGE_LD, 0.0, 2.0, -LARGE_LD]) == [1.0, 0.0, 1.0, 1.0]
-    assert normalize_ld([-0.5, LARGE_LD, 1.5, 0.5]) == [0.0, 1.0, 1.0, 0.5]
-    assert normalize_ld([3.0, -LARGE_LD, 3.0]) == [0.5, 1.0, 0.5]
-    assert normalize_ld([LARGE_LD, LARGE_LD]) == [1.0, 1.0]
-    assert normalize_ld([]) == []
+    # raw darts -1, 0.5 and 2 against the fecund snail at 2.0
+    home = [snail(2.0), snail(1.0, 1.0), snail(6.0, 0.5), snail(3.0, 0.5)]
+    assert _mate(home, Uniforms(0.0)) == (0, [0.0, 0.5, 1.0])
+    # equal raw darts (all 1), a single dart and only ties: no range
+    home = [snail(0.0), snail(1.0, 1.0), snail(2.0, 0.5), snail(4.0, 0.25)]
+    assert _mate(home, Uniforms(0.0)) == (0, [0.5, 0.5, 0.5])
+    assert _mate([snail(0.0), snail(4.0)], Uniforms(0.0)) == (0, [0.5])
+    assert _mate([snail(0.0)] * 3, Uniforms(0.0)) == (0, [1.0, 1.0])
 
 
 @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=20))
-def test_normalize_ld_stays_in_unit_interval(raw):
-    norm = normalize_ld(raw)
-    assert len(norm) == len(raw)
-    assert all(type(v) is float and 0.0 <= v <= 1.0 for v in norm)
-    if max(raw) - min(raw) > 1e-30:
-        assert norm[int(np.argmin(raw))] == 0.0
-        assert norm[int(np.argmax(raw))] == 1.0
+def test_normalize_ld_stays_in_unit_interval(fs):
+    # flat histories: every fecundity is the drawn 0.5, and the roulette's
+    # 0.0 makes the first snail, at 0.0, the fecund one
+    home = [snail(f, hist=(f, f, f)) for f in [0.0, *fs]]
+    k, darts = _mate(home, Uniforms(*[0.5] * len(home), 0.0))
+    assert k == 0 and len(darts) == len(fs)
+    assert all(type(v) is float and 0.0 <= v <= 1.0 for v in darts)
+    raw = [1 / (0.5 * f) if abs(f) > 1e-30 else math.inf for f in fs]
+    kept = [r for r in raw if abs(r) < LARGE_LD]
+    if kept and max(kept) - min(kept) > 1e-30:
+        assert darts[raw.index(min(kept))] == 0.0
+        assert darts[raw.index(max(kept))] == 1.0
 
 
 # ---------------------------------------------------------------------------
-# mate selection
+# selection probabilities
 # ---------------------------------------------------------------------------
 
 def test_selection_probabilities_inverse_proportionality():
@@ -154,20 +195,20 @@ def test_selection_probabilities_order_property(values):
 
 
 def test_roulette_select_frequency_matches_probabilities():
+    # values 1 and 3: selection probabilities 3/4 and 1/4
+    home = [snail(1.0), snail(3.0)]
     rng = np.random.default_rng(7)
-    probs = [0.75, 0.25]
-    hits = sum(roulette_select(probs, rng) == 0 for _ in range(100_000))
+    hits = sum(_mate(home, rng)[0] == 0 for _ in range(100_000))
     assert abs(hits / 100_000 - 0.75) < 0.01, hits
 
 
 def test_roulette_select_never_overflows_index():
-    # u drawn in the rounding slack above the last cumsum entry still
-    # maps to the last index
-    class FakeRng:
-        def random(self):
-            return 0.999999999999999999
-
-    assert roulette_select([0.5, 0.5 - 1e-17], FakeRng()) == 1
+    # the largest uniform lies in the rounding slack above this home's
+    # last cumulative sum, and still picks the last snail
+    values = [3.0, 4.0, 5.0, 6.0, 7.0]
+    u = math.nextafter(1.0, 0.0)
+    assert list(accumulate(selection_probabilities(values)))[-1] < u
+    assert _mate([snail(v) for v in values], Uniforms(u))[0] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -401,53 +442,11 @@ def test_config_rejects_invalid_values(kwargs):
 # full runs
 # ---------------------------------------------------------------------------
 
-def test_run_is_deterministic_for_a_fixed_seed():
-    problem = sphere(dim=5)
-    cfg = ShmsConfig(max_evals=3000, seed=42)
-    a = run(problem, cfg)
-    b = run(problem, cfg)
-    assert a.best_trace == b.best_trace
-    assert np.array_equal(a.final_x, b.final_x)
-    assert a.final_f == b.final_f
-    assert a.evals == b.evals
-
-
 def test_runs_with_different_seeds_differ():
     problem = sphere(dim=5)
     a = run(problem, ShmsConfig(max_evals=2000, seed=1))
     b = run(problem, ShmsConfig(max_evals=2000, seed=2))
     assert a.best_trace != b.best_trace
-
-
-def test_run_respects_the_evaluation_budget():
-    problem = sphere(dim=5)
-    for budget in (30, 31, 64, 500):
-        cfg = ShmsConfig(max_evals=budget, seed=3, stagnation_tol=0.0)
-        rec = run(problem, cfg)
-        assert cfg.homes * cfg.snails_per_home <= rec.evals <= budget
-
-
-def test_run_trace_is_monotone_and_ends_at_final_f():
-    problem = sphere(dim=4)
-    rec = run(problem, ShmsConfig(max_evals=2000, seed=8))
-    assert all(a >= b for a, b in zip(rec.best_trace, rec.best_trace[1:]))
-    assert rec.final_f == rec.best_trace[-1]
-    assert rec.final_f == problem.func(rec.final_x)
-    assert rec.wall_time >= 0.0
-    assert rec.seed == 8
-
-
-def test_run_keeps_every_snail_inside_the_box():
-    problem = sphere(dim=3, lo=-2.0, hi=1.0)
-    seen = []
-
-    def observer(colony):
-        for s in colony.snails:
-            seen.append(bool(np.all(s.x >= problem.lower)
-                             and np.all(s.x <= problem.upper)))
-
-    run(problem, ShmsConfig(max_evals=1500, seed=13), observer=observer)
-    assert seen and all(seen)
 
 
 def test_run_minimizes_a_shifted_sphere_without_origin_bias():

@@ -1,6 +1,6 @@
 """The engine's Python-float code against the numpy code it replaces.
 
-The per-home mating bookkeeping and the candidate move at low dimension
+A home's mating pass (``_mate``) and the candidate move at low dimension
 run on Python floats (see the ``snailopt.shms`` docstring).  These
 properties check that they give the same bits as numpy and consume the
 same random draws, which is what keeps the golden trajectories.  The two
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from snailopt.harness import CampaignConfig, summarize
 from snailopt.objective import BoundedProblem
-from snailopt.shms import (FLOAT_MOVE_DIM, _trail_array, _trail_floats,
-                           roulette_select, selection_probabilities)
+from snailopt.shms import (FLOAT_MOVE_DIM, SnailState, _mate, _trail_array,
+                           _trail_floats, selection_probabilities)
 from snailopt.stats import _pairwise_sum
 
 
@@ -96,13 +96,20 @@ def test_selection_probabilities_equal_the_numpy_version(vals):
     assert selection_probabilities(vals) == numpy_selection_probabilities(vals).tolist()
 
 
+def home(values):
+    """Snails at ``values`` with regular histories (``f0 - f1 = d`` and
+    ``f0 - f2 = 2d`` for a ``d >= |f0|``), so a home's one draw is the
+    roulette's."""
+    return [SnailState(x=np.zeros(1), f=v, f_hist=(v, v - d, v - 2 * d), home_id=0)
+            for v in values for d in [max(1.0, abs(v))]]
+
+
 @given(values, st.integers(min_value=0, max_value=2**32))
 def test_roulette_select_equals_the_numpy_version(vals, seed):
     probs = numpy_selection_probabilities(vals)
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(5):
-        assert (roulette_select(selection_probabilities(vals), rng_a)
-                == numpy_roulette_select(probs, rng_b))
+        assert _mate(home(vals), rng_a)[0] == numpy_roulette_select(probs, rng_b)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -119,10 +126,11 @@ def test_roulette_select_splits_at_numpys_cumulative_sums():
     # the order in which the probabilities were accumulated
     rng = np.random.default_rng(7)
     for n in range(2, 33):
-        probs = selection_probabilities(rng.random(n).tolist())
+        vals = rng.random(n).tolist()
+        probs = selection_probabilities(vals)
         for edge in np.cumsum(probs):
             for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
-                assert (roulette_select(probs, FixedRng(float(u)))
+                assert (_mate(home(vals), FixedRng(float(u)))[0]
                         == numpy_roulette_select(probs, FixedRng(float(u))))
 
 
@@ -134,7 +142,7 @@ def test_mating_on_colony_sized_homes():
             probs = selection_probabilities(vals)
             assert probs == numpy_selection_probabilities(vals).tolist()
             seed = int(rng.integers(2**32))
-            assert (roulette_select(probs, np.random.default_rng(seed))
+            assert (_mate(home(vals), np.random.default_rng(seed))[0]
                     == numpy_roulette_select(probs, np.random.default_rng(seed)))
 
 

@@ -732,6 +732,24 @@ def test_unreadable_summary_is_reported_not_fatal(tmp_path):
         assert "campaigns found: 1" in report, case
 
 
+def test_wrongly_shaped_campaign_is_a_value_error(tmp_path):
+    # the callers of load_campaign catch ValueError; a TypeError would
+    # escape them, and a config given as [key, value] pairs must not load
+    run_campaign(small_cfg(tmp_path, trials=1))
+    summary, trial = tmp_path / "summary.json", tmp_path / "trial_000.json"
+    payload, record = read_summary(summary), read_trial_record(trial)
+    for damaged in [{"config": [1, 2]}, {"config": list(payload["config"].items())},
+                    {"record_files": [5]}, {"record_files": 5}]:
+        summary.write_text(json.dumps({**payload, **damaged}))
+        with pytest.raises(ValueError):
+            load_campaign(summary)
+    summary.write_text(json.dumps(payload))
+    for damaged in [{"final_f": [1.0]}, {"evals": None}, {"wall_time": "0.1"}]:
+        trial.write_text(json.dumps({**record, **damaged}))
+        with pytest.raises(ValueError):
+            load_campaign(summary)
+
+
 def test_foreign_trial_seed_is_reported_not_fatal(tmp_path):
     # the report pairs on the records' seeds, so a record whose seed is
     # not base_seed + trial is refused instead of paired
