@@ -50,18 +50,28 @@ def git(*args, cwd=ROOT) -> str:
 
 def record_run(command: list, workload: str, seconds: int, trace: int,
                root: Path = ROOT):
-    """``(provenance, fingerprint, result)`` of one perfbench run in ``root``."""
-    out = subprocess.run(
+    """``(provenance, fingerprint, result)`` of one perfbench run in ``root``.
+
+    Raises ``RuntimeError`` with the exit status and the tail of stderr
+    when the run printed no provenance line or no JSON result last."""
+    proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True,
-    ).stdout.splitlines()
-    if not out or "provenance " not in out[0]:
-        raise RuntimeError(f"{workload} --trace {trace}: no provenance line")
+    )
+    out = proc.stdout.splitlines()
+    try:
+        provenance = json.loads(out[0].split("provenance ", 1)[1])
+        result = json.loads(out[-1])
+    except (IndexError, ValueError):
+        result = None
+    if not isinstance(result, dict):
+        tail = "\n".join(proc.stderr.splitlines()[-5:])
+        raise RuntimeError(f"{workload} --trace {trace}: no result "
+                           f"(exit status {proc.returncode}):\n{tail}")
     fingerprint = next((m.group(1) for line in out
                         if (m := re.search(r"fingerprint (\w+)", line))), None)
-    return (json.loads(out[0].split("provenance ", 1)[1]), fingerprint,
-            json.loads(out[-1]))
+    return provenance, fingerprint, result
 
 
 def tree_identity() -> dict:

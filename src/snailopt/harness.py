@@ -557,12 +557,14 @@ def load_campaign(summary_path) -> tuple[CampaignConfig, CampaignSummary, dict]:
 
     Returns the parsed config, a summary *recomputed from the per-trial
     record files* (so corruption or hand-editing is caught), and the
-    raw summary payload.  A file of the wrong shape raises ``ValueError``.
+    raw summary payload.  A file of the wrong shape, or one naming a
+    record outside its own directory, raises ``ValueError``.
     """
     payload = read_summary(summary_path)
     cfg = CampaignConfig.from_dict(payload["config"])
     names = payload["record_files"]
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+    if not (isinstance(names, list)
+            and all(isinstance(n, str) and Path(n).name == n for n in names)):
         raise ValueError(f"{summary_path}: 'record_files' must be a list of file names")
     base = Path(summary_path).parent
     records = [read_trial_record(base / name) for name in names]

@@ -4,8 +4,9 @@ Every search problem handled by this package is a box-constrained
 minimization problem: a callable objective together with elementwise
 lower/upper bounds.  This module defines the problem container, the
 evaluation counter used for budget accounting, and ``evaluate``, the
-one primitive every evaluation goes through.  Box projection is a
-plain ``np.clip`` onto ``lower``/``upper`` where the engine needs it.
+one primitive every evaluation goes through.  Box projection lives in
+the engine: ``init_colony`` clips with ``np.clip``, and the move kernels
+clamp each candidate to ``lower``/``upper`` themselves.
 
 Keeping all evaluations behind :func:`evaluate` guarantees that budget
 accounting is exact and that non-finite objective values are caught at

@@ -124,7 +124,6 @@ class StreamState:
     omits the correction.
     """
 
-    name: str
     mass_flow: float  # kg/s
     t_in: float  # degC
     t_out: float  # degC
@@ -270,7 +269,6 @@ def make_case(case_id: int) -> StheCase:
             label="methanol / brackish water, 4.34 MW",
             duty=4.34e6,
             shell=StreamState(
-                name="methanol",
                 mass_flow=27.8,
                 t_in=95.0,
                 t_out=40.0,
@@ -282,7 +280,6 @@ def make_case(case_id: int) -> StheCase:
                 wall_viscosity=0.00038,
             ),
             tube=StreamState(
-                name="brackish water",
                 mass_flow=68.9,
                 t_in=25.0,
                 t_out=40.0,
@@ -301,7 +298,6 @@ def make_case(case_id: int) -> StheCase:
             label="kerosene / crude oil, 1.44 MW",
             duty=1.44e6,
             shell=StreamState(
-                name="kerosene",
                 mass_flow=5.52,
                 t_in=199.0,
                 t_out=93.3,
@@ -313,7 +309,6 @@ def make_case(case_id: int) -> StheCase:
                 wall_viscosity=0.000213,
             ),
             tube=StreamState(
-                name="crude oil",
                 mass_flow=18.8,
                 t_in=37.8,
                 t_out=76.7,
@@ -331,7 +326,6 @@ def make_case(case_id: int) -> StheCase:
             label="distilled water / raw water, 0.46 MW",
             duty=0.46e6,
             shell=StreamState(
-                name="distilled water",
                 mass_flow=22.07,
                 t_in=33.9,
                 t_out=29.4,
@@ -342,7 +336,6 @@ def make_case(case_id: int) -> StheCase:
                 fouling=0.00017,
             ),
             tube=StreamState(
-                name="raw water",
                 mass_flow=35.31,
                 t_in=23.9,
                 t_out=26.7,

@@ -1,7 +1,11 @@
-"""``scripts/bench_record.py``'s pair comparison, on hand-made runs: a
-speed claim rests on its medians, base quartiles and win counts."""
+"""``scripts/bench_record.py`` on hand-made runs: the pair comparison a speed claim
+rests on (medians, base quartiles, win counts), and children that print no result."""
 
-from bench_record import compare
+import sys
+
+import pytest
+
+from bench_record import compare, record_run
 
 END_TO_END = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
               {"name": "evals_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
@@ -30,3 +34,12 @@ def test_compare_counts_wins_in_each_metrics_better_direction():
                         "base_median": 30.0, "tree_median": 29.0,
                         "base_quartiles": [20.0, 40.0], "tree_wins": 2},
     }
+
+
+@pytest.mark.parametrize("code, status", [  # perfbench's exit on a failed launch; an early death
+    ('print("provenance {}"); raise SystemExit("snailopt run failed: boom")', 1),
+    ('import sys; sys.stderr.write("no scipy: boom"); raise SystemExit(3)', 3)],
+    ids=["exits-after-provenance", "dies-before-provenance"])
+def test_a_run_that_printed_no_result_names_its_status_and_stderr(code, status):
+    with pytest.raises(RuntimeError, match=rf"^w --trace 1: no result \(exit status {status}\):\n.*boom$"):
+        record_run([sys.executable, "-c", code], "w", 1, 1)

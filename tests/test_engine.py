@@ -12,8 +12,8 @@ from scipy import stats as sps
 
 from snailopt.benchmarks import make_benchmark
 from snailopt.objective import BoundedProblem, EvalCounter
-from snailopt.shms import (FLOAT_MOVE_DIM, LARGE_LD, Anchor, ColonyState,
-                           ShmsConfig, SnailState, _mate, init_colony, run,
+from snailopt.shms import (LARGE_LD, Anchor, ColonyState, ShmsConfig,
+                           SnailState, _mate, init_colony, run,
                            selection_probabilities, step,
                            trail_following_update)
 
@@ -215,158 +215,132 @@ def test_roulette_select_never_overflows_index():
 # trail-following move
 # ---------------------------------------------------------------------------
 
-#: extra coordinates, all 0.0 for every snail (so for the best too), that
-#: carry a low-dimensional case past FLOAT_MOVE_DIM: each move test runs
-#: its case on the float kernel (no padding) and on the array kernel
-PADS = (0, FLOAT_MOVE_DIM)
-
-
-def padded(x, pad):
-    return np.array(list(x) + [0.0] * pad)
-
-
-def trail_case(pad, positions, home_ids, lo=-5.0, hi=5.0, c_value=0.5):
-    """A hand-built colony on ``positions``, each padded by ``pad`` zeros."""
-    problem = sphere(dim=len(positions[0]) + pad, lo=lo, hi=hi)
-    assert (problem.dim <= FLOAT_MOVE_DIM) == (pad == 0)
-    return problem, make_colony(problem, [padded(x, pad) for x in positions],
-                                home_ids, c_value)
+def trail_case(positions, home_ids, lo=-5.0, hi=5.0, c_value=0.5):
+    """A hand-built colony on ``positions``, over a sphere of their dimension."""
+    problem = sphere(dim=len(positions[0]), lo=lo, hi=hi)
+    return problem, make_colony(problem, positions, home_ids, c_value)
 
 
 def test_trail_zero_intensity_reproduces_best_position():
-    for pad in PADS:
-        problem, colony = trail_case(pad, [[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]], [0, 0])
-        mover = colony.snails[0]
-        mover.ld_norm = 0.0
-        cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
-        y = trail_following_update(mover, colony, problem, cfg,
-                                   np.random.default_rng(3))
-        assert y is None, pad       # the best position, already evaluated
+    problem, colony = trail_case([[1.0, -2.0, 3.0], [0.5, 0.5, 0.5]], [0, 0])
+    mover = colony.snails[0]
+    mover.ld_norm = 0.0
+    cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
+    y = trail_following_update(mover, colony, problem, cfg, np.random.default_rng(3))
+    assert y is None            # the best position, already evaluated
 
 
 def test_trail_snail_on_best_position_stays_exactly():
-    for pad in PADS:
-        best = [0.1, 0.2, -0.3, 0.4]
-        problem, colony = trail_case(pad, [best, [2.0, 2.0, 2.0, 2.0]], [0, 0])
-        mover = colony.snails[0]    # already sits on the global best
-        mover.ld_norm = 0.83
-        cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
-        y = trail_following_update(mover, colony, problem, cfg,
-                                   np.random.default_rng(11))
-        assert y is None, pad
+    best = [0.1, 0.2, -0.3, 0.4]
+    problem, colony = trail_case([best, [2.0, 2.0, 2.0, 2.0]], [0, 0])
+    mover = colony.snails[0]    # already sits on the global best
+    mover.ld_norm = 0.83
+    cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
+    y = trail_following_update(mover, colony, problem, cfg, np.random.default_rng(11))
+    assert y is None
 
 
 def test_trail_draw_is_uniform_around_best():
-    for pad in PADS:
-        # best at 2, snail at 0, intensity 0.5 -> y ~ U(1, 3) in one dimension
-        problem, colony = trail_case(pad, [[0.0], [2.0]], [0, 0], lo=-10.0, hi=10.0)
-        best = padded([2.0], pad)
-        colony.global_best = Anchor(x=best, f=problem.func(best))
-        mover = colony.snails[0]
-        mover.ld_norm = 0.5
-        cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
-        rng = np.random.default_rng(19)
-        draws = np.array([
-            trail_following_update(mover, colony, problem, cfg, rng)
-            for _ in range(2000)
-        ])
-        assert np.all(draws[:, 1:] == 0.0)  # where the snail and the best agree
-        draws = draws[:, 0]
-        assert np.all(draws >= 1.0) and np.all(draws <= 3.0)
-        pvalue = sps.kstest(draws, "uniform", args=(1.0, 2.0)).pvalue
-        assert pvalue > 1e-4, (pad, pvalue)
+    # best at 2, snail at 0, intensity 0.5 -> y ~ U(1, 3) in one dimension
+    problem, colony = trail_case([[0.0], [2.0]], [0, 0], lo=-10.0, hi=10.0)
+    best = np.array([2.0])
+    colony.global_best = Anchor(x=best, f=problem.func(best))
+    mover = colony.snails[0]
+    mover.ld_norm = 0.5
+    cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
+    rng = np.random.default_rng(19)
+    draws = np.array([
+        trail_following_update(mover, colony, problem, cfg, rng)[0]
+        for _ in range(2000)
+    ])
+    assert np.all(draws >= 1.0) and np.all(draws <= 3.0)
+    pvalue = sps.kstest(draws, "uniform", args=(1.0, 2.0)).pvalue
+    assert pvalue > 1e-4, pvalue
 
 
 def test_trail_candidate_is_clamped_to_box():
-    for pad in PADS:
-        # the best sits inside the box, so a draw clipped to the bound is
-        # neither the best nor the snail's position and comes back
-        problem, colony = trail_case(pad, [[-1.0], [2.0]], [0, 0], lo=-1.0, hi=2.5)
-        best = padded([2.0], pad)
-        colony.global_best = Anchor(x=best, f=problem.func(best))
-        mover = colony.snails[0]
-        mover.ld_norm = 1.0         # interval [-1, 5] before clamping
-        cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
-        rng = np.random.default_rng(5)
-        draws = np.array([
-            trail_following_update(mover, colony, problem, cfg, rng)[0]
-            for _ in range(500)
-        ])
-        assert np.all(draws >= -1.0) and np.all(draws <= 2.5)
-        assert np.any(draws == 2.5), pad  # the upper part of the interval got cut
+    # the best sits inside the box, so a draw clipped to the bound is
+    # neither the best nor the snail's position and comes back
+    problem, colony = trail_case([[-1.0], [2.0]], [0, 0], lo=-1.0, hi=2.5)
+    best = np.array([2.0])
+    colony.global_best = Anchor(x=best, f=problem.func(best))
+    mover = colony.snails[0]
+    mover.ld_norm = 1.0         # interval [-1, 5] before clamping
+    cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
+    rng = np.random.default_rng(5)
+    draws = np.array([
+        trail_following_update(mover, colony, problem, cfg, rng)[0]
+        for _ in range(500)
+    ])
+    assert np.all(draws >= -1.0) and np.all(draws <= 2.5)
+    assert np.any(draws == 2.5)  # the upper part of the interval got cut
 
 
 def test_home_switch_reassigns_home_and_redraws_one_coordinate():
-    for pad in PADS:
-        positions = [[1.0] * 5, [0.0] * 5, [3.0] * 5, [-3.0] * 5]
-        problem, colony = trail_case(pad, positions, [0, 0, 1, 2], c_value=0.25)
-        mover = colony.snails[0]
-        mover.ld_norm = 0.0         # dense part lands exactly on the best
-        cfg = ShmsConfig(homes=3, home_switch_prob=1.0)
-        for seed in range(30):
-            mover.home_id = 0
-            y = trail_following_update(mover, colony, problem, cfg,
-                                       np.random.default_rng(seed))
-            assert mover.home_id in (1, 2)          # never the home it left
-            anchor = colony.home_anchor[mover.home_id].x
-            changed = np.flatnonzero(y != colony.global_best.x)
-            assert changed.size == 1                # exactly one coordinate redrawn
-            d = changed[0]
-            assert abs(y[d] - anchor[d]) <= colony.c[d]
+    positions = [[1.0] * 5, [0.0] * 5, [3.0] * 5, [-3.0] * 5]
+    problem, colony = trail_case(positions, [0, 0, 1, 2], c_value=0.25)
+    mover = colony.snails[0]
+    mover.ld_norm = 0.0         # dense part lands exactly on the best
+    cfg = ShmsConfig(homes=3, home_switch_prob=1.0)
+    for seed in range(30):
+        mover.home_id = 0
+        y = trail_following_update(mover, colony, problem, cfg,
+                                   np.random.default_rng(seed))
+        assert mover.home_id in (1, 2)          # never the home it left
+        anchor = colony.home_anchor[mover.home_id].x
+        changed = np.flatnonzero(y != colony.global_best.x)
+        assert changed.size == 1                # exactly one coordinate redrawn
+        d = changed[0]
+        assert abs(y[d] - anchor[d]) <= colony.c[d]
 
 
 def test_trail_candidate_is_fresh_and_leaves_positions_untouched():
-    for pad in PADS:
-        problem, colony = trail_case(pad, [[0.9, -0.9, 0.5], [0.0, 0.1, 0.2]], [0, 0],
-                                     lo=-1.0, hi=1.0)
-        mover = colony.snails[0]
-        mover.ld_norm = 1.0
-        before = (mover.x.copy(), colony.global_best.x.copy())
-        cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
-        y = trail_following_update(mover, colony, problem, cfg,
-                                   np.random.default_rng(4))
-        assert y is not None, pad
-        assert y is not mover.x and y is not colony.global_best.x
-        assert np.array_equal(mover.x, before[0])
-        assert np.array_equal(colony.global_best.x, before[1])
+    problem, colony = trail_case([[0.9, -0.9, 0.5], [0.0, 0.1, 0.2]], [0, 0],
+                                 lo=-1.0, hi=1.0)
+    mover = colony.snails[0]
+    mover.ld_norm = 1.0
+    before = (mover.x.copy(), colony.global_best.x.copy())
+    cfg = ShmsConfig(homes=1, home_switch_prob=0.0)
+    y = trail_following_update(mover, colony, problem, cfg, np.random.default_rng(4))
+    assert y is not None
+    assert y is not mover.x and y is not colony.global_best.x
+    assert np.array_equal(mover.x, before[0])
+    assert np.array_equal(colony.global_best.x, before[1])
 
 
 def test_home_switch_is_impossible_with_a_single_home():
-    for pad in PADS:
-        problem, colony = trail_case(pad, [[1.0, 1.0], [0.0, 0.0]], [0, 0])
-        mover = colony.snails[0]
-        mover.ld_norm = 0.0
-        cfg = ShmsConfig(homes=1, home_switch_prob=1.0)
-        y = trail_following_update(mover, colony, problem, cfg,
-                                   np.random.default_rng(2))
-        assert mover.home_id == 0
-        assert y is None, pad
+    problem, colony = trail_case([[1.0, 1.0], [0.0, 0.0]], [0, 0])
+    mover = colony.snails[0]
+    mover.ld_norm = 0.0
+    cfg = ShmsConfig(homes=1, home_switch_prob=1.0)
+    y = trail_following_update(mover, colony, problem, cfg, np.random.default_rng(2))
+    assert mover.home_id == 0
+    assert y is None
 
 
 def test_trail_move_consumes_the_stream_in_a_fixed_order():
-    for pad in PADS:
-        positions = [[1.0, -2.0, 3.0], [0.5, 0.5, 0.5], [2.0, 2.0, 2.0], [-1.0, 0.0, 1.0]]
-        problem, colony = trail_case(pad, positions, [0, 0, 1, 2], c_value=0.25)
-        mover, dim = colony.snails[0], problem.dim
-        mover.ld_norm = 0.0
-        rng, replay = np.random.default_rng(8), np.random.default_rng(8)
-        # a zero-trail skip: the switch uniform and the trail uniforms only
-        stay = ShmsConfig(homes=3, home_switch_prob=0.0)
-        assert trail_following_update(mover, colony, problem, stay, rng) is None
-        replay.random(dim + 1)
-        assert rng.bit_generator.state == replay.bit_generator.state
-        # an emigrant: then its new home, its coordinate and the redraw there
-        leave = ShmsConfig(homes=3, home_switch_prob=1.0)
-        y = trail_following_update(mover, colony, problem, leave, rng)
-        replay.random(dim + 1)
-        home = 1 + int(replay.integers(2))      # home 0 is the one it left
-        d = int(replay.integers(dim))
-        redrawn = colony.home_anchor[home].x[d] + colony.c[d] * (2.0 * replay.random() - 1.0)
-        assert rng.bit_generator.state == replay.bit_generator.state
-        assert mover.home_id == home
-        want = colony.global_best.x.copy()
-        want[d] = redrawn
-        assert y.tobytes() == want.tobytes(), pad
+    positions = [[1.0, -2.0, 3.0], [0.5, 0.5, 0.5], [2.0, 2.0, 2.0], [-1.0, 0.0, 1.0]]
+    problem, colony = trail_case(positions, [0, 0, 1, 2], c_value=0.25)
+    mover, dim = colony.snails[0], problem.dim
+    mover.ld_norm = 0.0
+    rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+    # a zero-trail skip: the switch uniform and the trail uniforms only
+    stay = ShmsConfig(homes=3, home_switch_prob=0.0)
+    assert trail_following_update(mover, colony, problem, stay, rng) is None
+    replay.random(dim + 1)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    # an emigrant: then its new home, its coordinate and the redraw there
+    leave = ShmsConfig(homes=3, home_switch_prob=1.0)
+    y = trail_following_update(mover, colony, problem, leave, rng)
+    replay.random(dim + 1)
+    home = 1 + int(replay.integers(2))      # home 0 is the one it left
+    d = int(replay.integers(dim))
+    redrawn = colony.home_anchor[home].x[d] + colony.c[d] * (2.0 * replay.random() - 1.0)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert mover.home_id == home
+    want = colony.global_best.x.copy()
+    want[d] = redrawn
+    assert y.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -180,30 +180,6 @@ def test_run_campaign_persists_everything(tmp_path):
         assert [k for k, _ in trace] == list(range(len(trace)))
 
 
-def test_load_campaign_round_trips_exactly(tmp_path):
-    cfg = small_cfg(tmp_path / "camp")
-    emitted = run_campaign(cfg)
-    got_cfg, recomputed, payload = load_campaign(
-        Path(cfg.out_dir) / "summary.json")
-    assert got_cfg == cfg
-    assert recomputed == emitted  # bitwise, including wall-time averages
-    assert payload["schema"] == SUMMARY_SCHEMA
-    assert payload["finals"] == [
-        read_trial_record(Path(cfg.out_dir) / f)["final_f"]
-        for f in payload["record_files"]
-    ]
-
-
-def test_identical_configs_reproduce_bitwise(tmp_path):
-    a = run_campaign(small_cfg(tmp_path / "a"))
-    b = run_campaign(small_cfg(tmp_path / "b"))
-    fa = read_summary(tmp_path / "a" / "summary.json")["finals"]
-    fb = read_summary(tmp_path / "b" / "summary.json")["finals"]
-    assert fa == fb
-    assert a.best == b.best and a.mean == b.mean and a.std == b.std
-    assert a.avg_evals == b.avg_evals  # wall times may differ
-
-
 def trial_files(out: Path) -> dict:
     """Every trial record of a campaign, without its wall time."""
     records = {}
@@ -240,12 +216,6 @@ def test_campaign_finds_the_known_minimum(tmp_path):
     summary = run_campaign(small_cfg(tmp_path / "camp", max_evals=1500))
     f_min, _ = known_optimum("F16")
     assert summary.best == pytest.approx(f_min, abs=1e-6)
-
-
-def test_different_seeds_change_the_outcome(tmp_path):
-    a = run_campaign(small_cfg(tmp_path / "a"))
-    b = run_campaign(small_cfg(tmp_path / "b", base_seed=999))
-    assert a.best != b.best or a.mean != b.mean
 
 
 def test_failing_objective_is_logged_not_fatal(tmp_path, monkeypatch, caplog):
@@ -700,6 +670,8 @@ def damaged_summaries(payload):
         "not-json": "{not json",
         "not-an-object": "[]",
         "record-file-not-a-name": json.dumps({**payload, "record_files": [5]}),
+        "record-file-outside-the-campaign": json.dumps(  # the intact campaign's records
+            {**payload, "record_files": [f"../intact/{n}" for n in payload["record_files"]]}),
         "config-not-an-object": json.dumps({**payload, "config": [1, 2]}),
         "config-foreign-schema": json.dumps(
             {**payload, "config": {**payload["config"],

@@ -259,29 +259,6 @@ def test_make_problem_wraps_the_case():
 # published-table reproduction
 # ---------------------------------------------------------------------------
 
-def test_best_reported_designs_reproduce_their_totals(tables):
-    for cid in (1, 2, 3):
-        designs = {d["name"]: d for d in tables["cases"][str(cid)]["designs"]}
-        entry = designs["SHMS"]
-        case = case_variant(cid, entry["profile"])
-        got = total_cost(case, entry["decision"])
-        assert got == pytest.approx(entry["c_total"], rel=5e-3), (cid, got)
-
-
-@pytest.mark.parametrize("case_id,decision,published,duty", [
-    (1, (0.0100, 0.6447, 0.4166, 1.1121), 41718.6558, 4.34e6),
-    (2, (0.0114, 0.4000, 0.1526, 0.6900), 19084.3059, 1.44e6),
-    (3, (0.0100, 0.4702, 0.5104, 0.7054), 20744.3639, 0.46e6),
-])
-def test_default_cases_reproduce_the_published_designs(case_id, decision,
-                                                       published, duty):
-    case = make_case(case_id)
-    assert case.duty == duty
-    cost = evaluate_design(case, decision)
-    assert cost.total == pytest.approx(published, rel=5e-3)
-    assert total_cost(case, decision) == cost.total
-
-
 def test_every_stored_profile_recomputes_its_model_total(tables):
     checked = 0
     for cid in (1, 2, 3):
@@ -300,14 +277,6 @@ def test_every_stored_profile_recomputes_its_model_total(tables):
                 assert entry["outlier_note"]
             checked += 1
     assert checked >= 30
-
-
-def test_at_most_four_columns_per_case_stay_unexplained(tables):
-    for cid in (1, 2, 3):
-        entries = [d for d in tables["cases"][str(cid)]["designs"]
-                   if not d["excluded"] and d["name"] != "SHMS"]
-        outliers = [d["name"] for d in entries if d["outlier"]]
-        assert len(outliers) <= 4, (cid, outliers)
 
 
 def test_printed_reynolds_agrees_with_printed_velocity(tables):
