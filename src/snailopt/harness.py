@@ -340,7 +340,7 @@ def trial_record(cfg: CampaignConfig, i: int, rec: RunRecord) -> dict:
 
 def write_trial_record(out: Path, record: dict) -> Path:
     return write_atomic(out / TRIAL_FILE.format(record["trial"]),
-                        json.dumps(record))
+                        json.dumps(record, allow_nan=False))
 
 
 def read_trial_record(path) -> dict:
@@ -429,13 +429,17 @@ def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,
     payload = {
         "schema": SUMMARY_SCHEMA,
         "config": cfg.to_dict(),
-        "summary": dataclasses.asdict(summary),
+        # a campaign without a completed trial has NaN statistics, which
+        # strict JSON has no token for: they are written as null
+        "summary": {k: None if isinstance(v, float) and math.isnan(v) else v
+                    for k, v in dataclasses.asdict(summary).items()},
         "finals": [r["final_f"] for r in records],
         "record_files": [TRIAL_FILE.format(r["trial"]) for r in records],
         "failures": failures,
         "provenance": provenance(),
     }
-    return write_atomic(out / "summary.json", json.dumps(payload, indent=1))
+    return write_atomic(out / "summary.json",
+                        json.dumps(payload, indent=1, allow_nan=False))
 
 
 def read_summary(path) -> dict:

@@ -1058,6 +1058,15 @@ def test_a_campaign_with_no_completed_trial(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", "--problem", "sthe1", "--trials", "2",
                      "--label", "broken", "--out", str(tmp_path / "camp")]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "broken: no trial completed"
+
+    def refuse(token):
+        raise ValueError(f"summary.json holds {token}")
+
+    # strict JSON: the statistics of no trial are null, not NaN
+    summary = json.loads((tmp_path / "camp" / "summary.json").read_text(),
+                         parse_constant=refuse)["summary"]
+    assert [summary[k] for k in ("completed", "best", "worst", "mean", "std",
+                                 "avg_evals", "avg_wall_time")] == [0] + [None] * 6
     files = generate_reports(tmp_path)
     assert "closeness_sthe.csv" not in {p.name for p in files}
     text = (tmp_path / "report.txt").read_text()
