@@ -620,7 +620,8 @@ def generate_reports(results_dir) -> list[Path]:
     Always emits ``friedman_published.csv`` (it depends only on bundled
     data) and ``report.txt``; adds ``wilcoxon_pairwise.csv`` when at
     least two campaigns share a problem and ``closeness_sthe.csv`` when
-    exchanger campaigns exist.  Returns the written paths.  Raises
+    exchanger campaigns exist, and deletes a stale copy of either table
+    it does not write.  Returns the written paths.  Raises
     ``NotADirectoryError`` when ``results_dir`` is not a directory.
     """
     root = Path(results_dir)
@@ -645,6 +646,16 @@ def generate_reports(results_dir) -> list[Path]:
             name, k = f"{cfg.display_label}#{k}", k + 1
         runs[name] = by_seed
 
+    def write_or_drop(name, rows):
+        """Write table ``name``, or delete a stale copy when ``rows`` is empty."""
+        path = root / name
+        if rows:
+            written.append(write_table_csv(path, rows))
+        elif path.exists():
+            path.unlink()
+            notices.append(f"removed {name} left by an earlier report")
+        return bool(rows)
+
     # Friedman table from the bundled published means (always available)
     written.append(write_table_csv(root / "friedman_published.csv",
                                    published_friedman_rows()))
@@ -664,9 +675,8 @@ def generate_reports(results_dir) -> list[Path]:
             wil_rows.append({"problem": key, "a": a, "b": b,
                              "test": "signed-rank" if shared else "rank-sum",
                              **dataclasses.asdict(res)})
-    if wil_rows:
-        written.append(write_table_csv(root / "wilcoxon_pairwise.csv", wil_rows))
-    elif not any(len(runs) >= 2 for runs in finals.values()):
+    if not write_or_drop("wilcoxon_pairwise.csv", wil_rows) and \
+            not any(len(runs) >= 2 for runs in finals.values()):
         notices.append("no problem is covered by two campaigns; "
                        "pairwise Wilcoxon table skipped")
 
@@ -688,9 +698,8 @@ def generate_reports(results_dir) -> list[Path]:
                 "closeness_percent": value,
                 "direction": closeness_direction(value),
             })
-    if close_rows:
-        written.append(write_table_csv(root / "closeness_sthe.csv", close_rows))
-    elif any(cfg.is_sthe for cfg, _s in campaigns):
+    if not write_or_drop("closeness_sthe.csv", close_rows) and \
+            any(cfg.is_sthe for cfg, _s in campaigns):
         notices.append("exchanger campaigns present but none completed")
 
     lines = [f"# schema: {REPORT_SCHEMA}", ""]

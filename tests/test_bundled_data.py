@@ -1,11 +1,12 @@
 """The bundled tables.
 
-``published_means.json`` is edited by hand and is the only copy of its
-transcription: the test below checks its layout and its corrections
-list, and acceptance criterion 08 checks its means against the
-published rank tables.  ``sthe_published.json`` is generated:
-rebuilding it from ``scripts/build_sthe_data.py`` must reproduce the
-committed file byte for byte."""
+Both are edited by hand and each is the only copy of its transcription.
+The last test below checks ``published_means.json``'s layout and its
+corrections list, and acceptance criterion 08 checks its means against
+the published rank tables.  In ``sthe_published.json`` the fields that
+follow from the transcription (labels, decisions, fitted profiles,
+outlier flags) are re-derived by ``scripts/build_sthe_data.py``:
+rebuilding the file must reproduce the committed bytes."""
 
 import build_sthe_data
 
@@ -14,7 +15,9 @@ from snailopt.data import load
 
 def test_the_scripts_rebuild_the_committed_tables():
     assert build_sthe_data.render(build_sthe_data.build()).encode() == \
-        build_sthe_data.OUT.read_bytes()
+        build_sthe_data.OUT.read_bytes(), (
+        "sthe_published.json differs from what its own transcription "
+        "derives: run python3 scripts/build_sthe_data.py and re-run the tests")
 
 
 def test_published_means_list_each_problem_and_keep_their_corrections():

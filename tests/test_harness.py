@@ -550,6 +550,21 @@ def test_reports_closeness_for_exchanger_campaigns(tmp_path):
         assert (row["closeness_percent"] >= 0) == (row["direction"] == "↑")
 
 
+@pytest.mark.parametrize("table,problem", [("wilcoxon_pairwise.csv", "F16"),
+                                            ("closeness_sthe.csv", "sthe1")])
+def test_reports_delete_a_table_they_no_longer_write(tmp_path, table, problem):
+    # campaign "b" alone makes the table: once it is gone, so is the table
+    run_campaign(small_cfg(tmp_path / "a", label="a"))
+    run_campaign(small_cfg(tmp_path / "b", problem=problem, label="b", base_seed=99))
+    generate_reports(tmp_path)
+    assert (tmp_path / table).exists()
+    shutil.rmtree(tmp_path / "b")
+    generate_reports(tmp_path)
+    assert not (tmp_path / table).exists()
+    assert f"note: removed {table} left by an earlier report" in \
+        (tmp_path / "report.txt").read_text()
+
+
 def test_reports_on_an_empty_directory(tmp_path):
     (tmp_path / "nothing").mkdir()
     files = generate_reports(tmp_path / "nothing")
