@@ -37,11 +37,13 @@ only.
 statistics artifacts: a Friedman ranking table computed from the
 bundled published per-problem means, a pairwise Wilcoxon table where
 two or more campaigns cover the same problem (one row per pair: the
-problem, the two labels, the test and the fields of
+problem, the two campaigns' names, the test and the fields of
 :class:`~snailopt.stats.WilcoxonResult`), and a closeness table
 comparing exchanger campaign results against the published designs.
 A pair gets the signed-rank test on the trial seeds both campaigns
 share (a rerun reads "no information"), the rank-sum test on none.
+A campaign's name is its label, given a ``#N`` suffix when an earlier
+campaign in the report holds it; every report file uses that name.
 
 Every output file carries a schema tag; the column layouts are
 documented in ``data/output_schemas.json``.
@@ -227,18 +229,19 @@ def _check_types(cls, values: dict, what: str) -> None:
 
 @dataclass(frozen=True)
 class CampaignSummary:
-    """Aggregate statistics over the completed trials of a campaign."""
+    """Aggregate statistics over the completed trials of a campaign; with
+    none completed the six statistics are ``None`` (``null`` in the file)."""
 
     problem_key: str
     label: str
     trials: int
     completed: int
-    best: float
-    worst: float
-    mean: float
-    std: float
-    avg_evals: float
-    avg_wall_time: float
+    best: float | None
+    worst: float | None
+    mean: float | None
+    std: float | None
+    avg_evals: float | None
+    avg_wall_time: float | None
 
     def __post_init__(self):
         if self.completed > 0:
@@ -284,9 +287,8 @@ def summarize(cfg: CampaignConfig, records: list[dict]) -> CampaignSummary:
     2.4: the last tie, except at n = 9, 17, 25, ...), so those may differ."""
     n = len(records)
     if not n:
-        nan = float("nan")
         return CampaignSummary(cfg.problem_key, cfg.display_label, cfg.trials,
-                               0, nan, nan, nan, nan, nan, nan)
+                               0, *[None] * 6)
     finals = [float(r["final_f"]) for r in records]
     best, worst = min(finals), max(finals)
     mean = _pairwise_sum(finals) / n
@@ -429,10 +431,7 @@ def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,
     payload = {
         "schema": SUMMARY_SCHEMA,
         "config": cfg.to_dict(),
-        # a campaign without a completed trial has NaN statistics, which
-        # strict JSON has no token for: they are written as null
-        "summary": {k: None if isinstance(v, float) and math.isnan(v) else v
-                    for k, v in dataclasses.asdict(summary).items()},
+        "summary": dataclasses.asdict(summary),
         "finals": [r["final_f"] for r in records],
         "record_files": [TRIAL_FILE.format(r["trial"]) for r in records],
         "failures": failures,
@@ -621,8 +620,9 @@ def generate_reports(results_dir) -> list[Path]:
     data) and ``report.txt``; adds ``wilcoxon_pairwise.csv`` when at
     least two campaigns share a problem and ``closeness_sthe.csv`` when
     exchanger campaigns exist, and deletes a stale copy of either table
-    it does not write.  Returns the written paths.  Raises
-    ``NotADirectoryError`` when ``results_dir`` is not a directory.
+    it does not write.  Each campaign is loaded once and keeps one name
+    in every file (see the module docstring).  Returns the written paths.
+    Raises ``NotADirectoryError`` when ``results_dir`` is not a directory.
     """
     root = Path(results_dir)
     if not root.is_dir():
@@ -630,8 +630,7 @@ def generate_reports(results_dir) -> list[Path]:
     written: list[Path] = []
     notices: list[str] = []
 
-    campaigns = []
-    finals: dict[str, dict] = {}  # problem key -> label -> {seed: final_f}
+    campaigns = []  # (name, cfg, summary, {seed: final_f}), in path order
     for path in sorted(root.rglob("summary.json")):
         try:
             cfg, summary, payload = load_campaign(path)
@@ -639,12 +638,11 @@ def generate_reports(results_dir) -> list[Path]:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             notices.append(f"skipped {path}: {exc}")
             continue
-        campaigns.append((cfg, summary))
-        runs = finals.setdefault(cfg.problem_key, {})
-        name, k = cfg.display_label, len(runs)
-        while name in runs:  # a repeated label, or one a suffix took
+        names = {n for n, *_ in campaigns}
+        name, k = cfg.display_label, len(campaigns)
+        while name in names:  # a repeated label, or one a suffix took
             name, k = f"{cfg.display_label}#{k}", k + 1
-        runs[name] = by_seed
+        campaigns.append((name, cfg, summary, by_seed))
 
     def write_or_drop(name, rows):
         """Write table ``name``, or delete a stale copy when ``rows`` is empty."""
@@ -663,10 +661,12 @@ def generate_reports(results_dir) -> list[Path]:
     # campaigns on one problem pair on their shared seeds (common random
     # numbers); sharing none, all their finals are independent samples
     wil_rows = []
-    for key, runs in sorted(finals.items()):
-        for a, b in itertools.combinations(runs, 2):
-            shared = runs[a].keys() & runs[b].keys()
-            xa, xb = ([run[s] for s in shared or run] for run in (runs[a], runs[b]))
+    keys = [cfg.problem_key for _n, cfg, _s, _f in campaigns]
+    for key in sorted(set(keys)):
+        runs = [(n, f) for n, cfg, _s, f in campaigns if cfg.problem_key == key]
+        for (a, fa), (b, fb) in itertools.combinations(runs, 2):
+            shared = fa.keys() & fb.keys()
+            xa, xb = ([run[s] for s in shared or run] for run in (fa, fb))
             if min(len(xa), len(xb)) < 5:
                 notices.append(f"{key}: fewer than 5 trials to compare {a} and {b} "
                                f"({len(shared)} seeds shared); pair skipped")
@@ -676,14 +676,14 @@ def generate_reports(results_dir) -> list[Path]:
                              "test": "signed-rank" if shared else "rank-sum",
                              **dataclasses.asdict(res)})
     if not write_or_drop("wilcoxon_pairwise.csv", wil_rows) and \
-            not any(len(runs) >= 2 for runs in finals.values()):
+            len(set(keys)) == len(keys):
         notices.append("no problem is covered by two campaigns; "
                        "pairwise Wilcoxon table skipped")
 
     # closeness table for exchanger campaigns
     close_rows = []
     published = None
-    for cfg, summary in campaigns:
+    for name, cfg, summary, _f in campaigns:
         if not cfg.is_sthe or summary.completed == 0:
             continue
         if published is None:
@@ -692,29 +692,29 @@ def generate_reports(results_dir) -> list[Path]:
         for ref in published["closeness"][case_id]:
             value = closeness_percent(ref["c_total"], summary.best)
             close_rows.append({
-                "case": int(case_id), "campaign": cfg.display_label,
+                "case": int(case_id), "campaign": name,
                 "reference": ref["name"], "reference_c_total": ref["c_total"],
                 "our_best": summary.best,
                 "closeness_percent": value,
                 "direction": closeness_direction(value),
             })
     if not write_or_drop("closeness_sthe.csv", close_rows) and \
-            any(cfg.is_sthe for cfg, _s in campaigns):
+            any(cfg.is_sthe for _n, cfg, _s, _f in campaigns):
         notices.append("exchanger campaigns present but none completed")
 
     lines = [f"# schema: {REPORT_SCHEMA}", ""]
     if campaigns:
         lines.append(f"campaigns found: {len(campaigns)}")
-        for cfg, summary in campaigns:
+        for name, _cfg, summary, _f in campaigns:
             if summary.completed:
                 lines.append(
-                    f"  {cfg.display_label:<20} best {summary.best:.6g}  "
+                    f"  {name:<20} best {summary.best:.6g}  "
                     f"mean {summary.mean:.6g}  worst {summary.worst:.6g}  "
                     f"std {summary.std:.6g}  "
                     f"avg evals {summary.avg_evals:.0f}  "
                     f"avg wall {summary.avg_wall_time:.3f}s")
             else:
-                lines.append(f"  {cfg.display_label:<20} no completed trials")
+                lines.append(f"  {name:<20} no completed trials")
     else:
         lines.append("no campaigns found")
     lines.append("")

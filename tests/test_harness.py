@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import json
 import logging
-import math
 import multiprocessing
 import os
 import pickle
@@ -229,7 +228,7 @@ def test_failing_objective_is_logged_not_fatal(tmp_path, monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="snailopt.harness"):
         summary = run_campaign(cfg)
     assert summary.completed == 0 and summary.trials == 3
-    assert math.isnan(summary.best)
+    assert summary.best is None
     assert sum("aborted" in r.message for r in caplog.records) == 3
     payload = read_summary(Path(cfg.out_dir) / "summary.json")
     assert [f["trial"] for f in payload["failures"]] == [0, 1, 2]
@@ -533,19 +532,24 @@ def test_reports_name_repeated_labels_apart(tmp_path):
                                     labels=(row["a"], row["b"]), paired=False)
         assert row == {"problem": "F16-d2", "a": row["a"], "b": row["b"],
                        "test": "rank-sum", **dataclasses.asdict(want)}
+    # report.txt names each campaign as the table does
+    text = (tmp_path / "report.txt").read_text()
+    assert [line.split()[0] for line in text.splitlines()
+            if line.startswith("  ")] == ["a", "a#2", "a#3"]
 
 
 def test_reports_closeness_for_exchanger_campaigns(tmp_path):
-    cfg = small_cfg(tmp_path / "sthe", problem="sthe1", trials=2,
-                    max_evals=600, label="exchanger")
-    run_campaign(cfg)
+    # two campaigns share a label: the second is named apart here too
+    for name in ("sthe", "sthe_again"):
+        run_campaign(small_cfg(tmp_path / name, problem="sthe1", trials=2,
+                               max_evals=600, label="exchanger"))
     files = generate_reports(tmp_path)
     assert any(p.name == "closeness_sthe.csv" for p in files)
     rows = read_table_csv(tmp_path / "closeness_sthe.csv")
-    assert len(rows) == len(published_tables()["closeness"]["1"])
+    refs = len(published_tables()["closeness"]["1"])
+    assert [row["campaign"] for row in rows] == ["exchanger"] * refs + ["exchanger#1"] * refs
     for row in rows:
         assert row["case"] == 1
-        assert row["campaign"] == "exchanger"
         assert row["direction"] in ("↑", "↓")
         assert (row["closeness_percent"] >= 0) == (row["direction"] == "↑")
 
@@ -1082,6 +1086,8 @@ def test_a_campaign_with_no_completed_trial(tmp_path, monkeypatch, capsys):
                          parse_constant=refuse)["summary"]
     assert [summary[k] for k in ("completed", "best", "worst", "mean", "std",
                                  "avg_evals", "avg_wall_time")] == [0] + [None] * 6
+    # and the summary re-derived from the (no) trial files is the stored one
+    assert dataclasses.asdict(load_campaign(tmp_path / "camp" / "summary.json")[1]) == summary
     files = generate_reports(tmp_path)
     assert "closeness_sthe.csv" not in {p.name for p in files}
     text = (tmp_path / "report.txt").read_text()
