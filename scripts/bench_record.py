@@ -23,7 +23,10 @@ slow phase of the machine falls on both sides alike.  The ``pairs``
 block holds, per workload and end-to-end metric, every value, both
 medians, the base's quartiles and the number of pairs the tree won; and
 whether every run of both sides had one and the same fingerprint and
-``orders_gained_mean``.
+``orders_gained_mean``.  It also prints one line per workload and
+end-to-end metric: base median -> tree median with the signed change,
+the tree's wins, a flag when the tree's median lies outside the base
+quartiles (better or WORSE), and whether the fingerprints match.
 """
 
 from __future__ import annotations
@@ -101,6 +104,24 @@ def compare(runs: dict, end_to_end: list) -> dict:
     return out
 
 
+def pair_lines(block: dict) -> list[str]:
+    """One line per workload and end-to-end metric of a ``pairs`` block."""
+    lines = []
+    for workload, w in block.items():
+        prints = "fingerprints match" if w["fingerprints_match"] else "FINGERPRINTS DIFFER"
+        for name, m in w["metrics"].items():
+            base, tree = m["base_median"], m["tree_median"]
+            change = f"{(tree - base) / abs(base):+.1%}" if base else "n/a"
+            lo, hi = m["base_quartiles"]
+            outside = ""
+            if not lo <= tree <= hi:
+                better = (tree > hi) == (m["better"] == "higher")
+                outside = f", outside the base quartiles ({'better' if better else 'WORSE'})"
+            lines.append(f"{workload} {name}: {base:.4g} -> {tree:.4g} {m['unit']} ({change}), "
+                         f"tree wins {m['tree_wins']}/{w['pairs']}{outside}, {prints}")
+    return lines
+
+
 def paired(bench: dict, base_root: Path) -> dict:
     """``PAIRS`` alternating base/tree runs of every workload, compared."""
     block = {}
@@ -155,7 +176,7 @@ def main(argv=None) -> int:
     record.update(provenance=provenance, workloads=workloads)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
-    print(out)
+    print("\n".join(pair_lines(record.get("pairs", {})) + [str(out)]))
     return 0
 
 

@@ -26,9 +26,12 @@ pumping power is billed at ``ENERGY_PRICE`` euro/kWh over
 sum ``C_total = C_inv + C_total_disc``.  The decision box ``LOWER`` ..
 ``UPPER`` is also shared by the three cases.
 
-:func:`evaluate_design` returns one immutable record,
-:class:`StheDesign`, holding the derived chain and its five cost
-fields; :func:`total_cost` reads its ``total``.
+Each case derives that chain in one function, :attr:`StheCase.chain`,
+built once per case with its constants bound, and shared by
+:func:`evaluate_design` (which validates an array-like first),
+:func:`total_cost` and the objective of :func:`make_problem`.  It
+returns one immutable record, :class:`StheDesign`, holding the derived
+chain and its five cost fields; the costs read its ``total``.
 
 Notes on conventions (kept because the published reference designs are
 only reproducible with them):
@@ -217,6 +220,111 @@ class StheCase:
         den = math.log((2.0 - big_p * (big_r + 1.0 - rad)) / low)
         return num / den
 
+    @cached_property
+    def chain(self):
+        """``chain(d_o, D_s, b, L)``: the :class:`StheDesign` of four floats.
+
+        Built once per case with the case's constants bound as locals,
+        subexpressions of the case alone (``pr ** (1/3)``, ``0.1 * pr``)
+        included where the formulas group them first; no product is
+        re-associated.  Raises :class:`DomainError` outside the box (NaN
+        and +-inf included) or when a correlation leaves its validity
+        domain: errors are reported, never clamped.
+        """
+        case_id, passes, elbow, duty = self.case_id, self.passes, self.elbow_loss, self.duty
+        k1, n1 = LAYOUT_CONSTANTS[(self.layout, passes)]
+        triangular, geometry = self.layout == "triangular", self.area_convention == "geometry"
+        eff, eff_on_shell = self.pump_efficiency, self.efficiency_on_shell
+        lmtd, f_corr = self.lmtd, self.correction_factor
+        t, s = self.tube, self.shell
+        m_t, rho_t, mu_t, k_t, foul_t = (t.mass_flow, t.density, t.viscosity,
+                                         t.conductivity, t.fouling)
+        m_s, rho_s, mu_s, k_s, foul_s = (s.mass_flow, s.density, s.viscosity,
+                                         s.conductivity, s.fouling)
+        pr_t, pr_s, wall_t, wall_s = t.prandtl, s.prandtl, t.wall_correction, s.wall_correction
+        pr_t_tenth, pr_t_23 = 0.1 * pr_t, pr_t ** (2.0 / 3.0) - 1.0
+        pr_t_13, pr_s_13 = pr_t ** (1.0 / 3.0), pr_s ** (1.0 / 3.0)
+        (lo_o, lo_s, lo_b, lo_l), (hi_o, hi_s, hi_b, hi_l) = LOWER, UPPER
+        pi, log10, sqrt, inf = math.pi, math.log10, math.sqrt, math.inf
+        quarter_pi, price = pi / 4.0, ENERGY_PRICE * HOURS_PER_YEAR
+        new, design = tuple.__new__, StheDesign
+
+        def chain(d_o, shell_d, baffle, length):
+            # chained comparisons also reject NaN and +-inf
+            if not (lo_o <= d_o <= hi_o and lo_s <= shell_d <= hi_s
+                    and lo_b <= baffle <= hi_b and lo_l <= length <= hi_l):
+                raise DomainError(f"decision vector {[d_o, shell_d, baffle, length]} "
+                                  f"outside case-{case_id} bounds")
+            d_i = BORE_RATIO * d_o
+            pitch, clearance = PITCH_RATIO * d_o, CLEARANCE_RATIO * d_o
+            tube_count = k1 * (shell_d / d_o) ** n1
+
+            flow_area = quarter_pi * d_i * d_i * tube_count / passes
+            v_t = m_t / (rho_t * flow_area)
+            re_t = rho_t * v_t * d_i / mu_t
+            if not 0.0 < re_t < inf:
+                raise DomainError("tube-side Reynolds number out of domain")
+            f_t = (1.82 * log10(re_t) - 1.64) ** -2
+            # tube-side Nusselt number.  Laminar (< 2300): Hausen,
+            # developing flow (depends on L).  Transition: Gnielinski with
+            # the (1+(d_i/L)^0.67) entrance factor.  Turbulent (>= 1e4):
+            # Sieder-Tate with the wall-viscosity correction.
+            if re_t < 2300.0:
+                x = re_t * pr_t * d_i / length
+                nu_t = 3.657 + 0.0677 * x ** 1.33 / (
+                    1.0 + pr_t_tenth * (re_t * d_i / length) ** 0.3)
+            elif re_t < 1.0e4:
+                fac = f_t / 8.0
+                nu_t = (fac * (re_t - 1000.0) * pr_t / (1.0 + 12.7 * sqrt(fac) * pr_t_23)
+                        * (1.0 + (d_i / length) ** 0.67))
+            else:
+                nu_t = 0.027 * re_t ** 0.8 * pr_t_13 * wall_t
+            h_t = nu_t * k_t / d_i
+            dp_t = rho_t * v_t * v_t / 2.0 * ((length / d_i) * f_t + elbow) * passes
+
+            # both positive in the box: cross_area is 0.2 * D_s * b, and d_e
+            # a positive multiple of d_o for either layout
+            cross_area = shell_d * baffle * clearance / pitch
+            if triangular:
+                d_e = 4.0 * (0.43 * pitch * pitch - pi * d_o * d_o / 8.0) / (pi * d_o / 2.0)
+            else:
+                d_e = 4.0 * (pitch * pitch - pi * d_o * d_o / 4.0) / (pi * d_o)
+            v_s = m_s / (rho_s * cross_area)
+            re_s = rho_s * v_s * d_e / mu_s
+            h_s = 0.36 * (k_s / d_e) * re_s ** 0.55 * pr_s_13 * wall_s
+            f_s = 1.44 * re_s ** -0.15
+            dp_s = rho_s * v_s * v_s / 2.0 * (length / baffle) * (shell_d / d_e) * f_s
+
+            u = 1.0 / (1.0 / h_s + foul_s + (d_o / d_i) * (foul_t + 1.0 / h_t))
+            if geometry:
+                area = pi * d_o * length * tube_count
+            else:
+                area = duty / (u * f_corr * lmtd)
+            if not 0.0 < area < inf:
+                raise DomainError("required area out of domain")
+
+            investment = BASE_COST + AREA_COEFF * area ** AREA_EXP
+            p_tube = m_t * dp_t / rho_t
+            p_shell = m_s * dp_s / rho_s
+            if eff_on_shell:
+                power = (p_tube + p_shell) / eff
+            else:
+                power = p_tube / eff + p_shell
+            annual = price * power / 1000.0
+            discounted = annual * ANNUITY
+            total = investment + discounted
+            if not -inf < total < inf:
+                raise DomainError("cost diverged")
+            # in field order; tuple.__new__ skips the 32-argument __new__
+            return new(design, (
+                d_o, d_i, shell_d, baffle, length, pitch, clearance, passes,
+                tube_count, v_t, re_t, pr_t, h_t, f_t, dp_t,
+                cross_area, d_e, v_s, re_s, pr_s, h_s, f_s, dp_s,
+                u, lmtd, f_corr, area, investment, annual, discounted, total, power,
+            ))
+
+        return chain
+
 
 class StheDesign(NamedTuple):
     """Derived geometry/thermo-hydraulics and costs (euro) of one design."""
@@ -350,30 +458,6 @@ def make_case(case_id: int) -> StheCase:
     raise ValueError(f"unknown exchanger case {case_id!r} (expected 1, 2 or 3)")
 
 
-def _tube_nusselt(case: StheCase, re_t: float, pr_t: float, f_t: float,
-                  d_i: float, length: float) -> float:
-    """Tube-side Nusselt number by flow regime.
-
-    Laminar (< 2300): Hausen, developing-flow form (depends on L).
-    Transition (2300..1e4): Gnielinski with the (1+(d_i/L)^0.67)
-    entrance-length factor.  Turbulent (>= 1e4): Sieder-Tate with the
-    wall-viscosity correction.
-    """
-    if re_t < 2300.0:
-        x = re_t * pr_t * d_i / length
-        num = 0.0677 * x ** 1.33
-        den = 1.0 + 0.1 * pr_t * (re_t * d_i / length) ** 0.3
-        return 3.657 + num / den
-    if re_t < 1.0e4:
-        fac = f_t / 8.0
-        num = fac * (re_t - 1000.0) * pr_t
-        den = 1.0 + 12.7 * math.sqrt(fac) * (pr_t ** (2.0 / 3.0) - 1.0)
-        return num / den * (1.0 + (d_i / length) ** 0.67)
-    return (
-        0.027 * re_t ** 0.8 * pr_t ** (1.0 / 3.0) * case.tube.wall_correction
-    )
-
-
 def evaluate_design(case: StheCase, d) -> StheDesign:
     """Derive the full chain and its costs for decision vector ``d``.
 
@@ -386,103 +470,13 @@ def evaluate_design(case: StheCase, d) -> StheDesign:
     Raises
     ------
     DomainError
-        When the vector is outside the case bounds or a correlation is
-        evaluated outside its validity domain.  Errors are reported,
-        never silently clamped.
+        For a vector of the wrong shape, and where :attr:`StheCase.chain`
+        raises it.
     """
     vec = np.asarray(d, dtype=float)
     if vec.shape != (4,):
         raise DomainError(f"decision vector must have shape (4,); got {vec.shape}")
-    x = vec.tolist()
-    # also rejects NaN and +-inf
-    if not all(lo <= v <= hi for lo, v, hi in zip(LOWER, x, UPPER)):
-        raise DomainError(f"decision vector {x} outside case-{case.case_id} bounds")
-    d_o, shell_d, baffle, length = x
-
-    d_i = BORE_RATIO * d_o
-    pitch = PITCH_RATIO * d_o
-    clearance = CLEARANCE_RATIO * d_o
-    k1, n1 = LAYOUT_CONSTANTS[(case.layout, case.passes)]
-    tube_count = k1 * (shell_d / d_o) ** n1
-
-    tube, shell = case.tube, case.shell
-    flow_area = math.pi / 4.0 * d_i * d_i * tube_count / case.passes
-    v_t = tube.mass_flow / (tube.density * flow_area)
-    re_t = tube.density * v_t * d_i / tube.viscosity
-    pr_t = tube.prandtl
-    if re_t <= 0.0 or not math.isfinite(re_t):
-        raise DomainError("tube-side Reynolds number out of domain")
-    f_t = (1.82 * math.log10(re_t) - 1.64) ** -2
-    nu_t = _tube_nusselt(case, re_t, pr_t, f_t, d_i, length)
-    h_t = nu_t * tube.conductivity / d_i
-    dp_t = (
-        tube.density * v_t * v_t / 2.0
-        * ((length / d_i) * f_t + case.elbow_loss)
-        * case.passes
-    )
-
-    # both positive in the box: cross_area is 0.2 * D_s * b, and d_e a
-    # positive multiple of d_o for either layout
-    cross_area = shell_d * baffle * clearance / pitch
-    if case.layout == "triangular":
-        d_e = 4.0 * (0.43 * pitch * pitch - math.pi * d_o * d_o / 8.0) / (
-            math.pi * d_o / 2.0
-        )
-    else:
-        d_e = 4.0 * (pitch * pitch - math.pi * d_o * d_o / 4.0) / (math.pi * d_o)
-    v_s = shell.mass_flow / (shell.density * cross_area)
-    re_s = shell.density * v_s * d_e / shell.viscosity
-    pr_s = shell.prandtl
-    h_s = (
-        0.36
-        * (shell.conductivity / d_e)
-        * re_s ** 0.55
-        * pr_s ** (1.0 / 3.0)
-        * shell.wall_correction
-    )
-    f_s = 1.44 * re_s ** -0.15
-    dp_s = (
-        shell.density * v_s * v_s / 2.0
-        * (length / baffle)
-        * (shell_d / d_e)
-        * f_s
-    )
-
-    u = 1.0 / (
-        1.0 / h_s
-        + shell.fouling
-        + (d_o / d_i) * (tube.fouling + 1.0 / h_t)
-    )
-    lmtd = case.lmtd
-    f_corr = case.correction_factor
-    if case.area_convention == "geometry":
-        area = math.pi * d_o * length * tube_count
-    else:
-        area = case.duty / (u * f_corr * lmtd)
-    if not (area > 0.0 and math.isfinite(area)):
-        raise DomainError("required area out of domain")
-
-    investment = BASE_COST + AREA_COEFF * area ** AREA_EXP
-    p_tube = tube.mass_flow * dp_t / tube.density
-    p_shell = shell.mass_flow * dp_s / shell.density
-    if case.efficiency_on_shell:
-        power = (p_tube + p_shell) / case.pump_efficiency
-    else:
-        power = p_tube / case.pump_efficiency + p_shell
-    annual = ENERGY_PRICE * HOURS_PER_YEAR * power / 1000.0
-    discounted = annual * ANNUITY
-    total = investment + discounted
-    if not math.isfinite(total):
-        raise DomainError("cost diverged")
-
-    # positional, in field order: keywords cost ~1 us per call
-    return StheDesign(
-        d_o, d_i, shell_d, baffle, length, pitch, clearance, case.passes,
-        tube_count, v_t, re_t, pr_t, h_t, f_t, dp_t,
-        cross_area, d_e, v_s, re_s, pr_s, h_s, f_s, dp_s,
-        u, lmtd, f_corr, area,
-        investment, annual, discounted, total, power,
-    )
+    return case.chain(*vec.tolist())
 
 
 def total_cost(case: StheCase, d) -> float:
@@ -499,15 +493,20 @@ def total_cost(case: StheCase, d) -> float:
 
 
 def make_problem(case_id: int) -> BoundedProblem:
-    """Wrap an exchanger case as a :class:`BoundedProblem` (4 variables)."""
-    case = make_case(case_id)
-    return BoundedProblem(
-        name=f"sthe{case_id}",
-        dim=4,
-        lower=LOWER,
-        upper=UPPER,
-        func=lambda x, _case=case: total_cost(_case, x),
-    )
+    """Wrap an exchanger case as a :class:`BoundedProblem` (4 variables).
+
+    Its objective is :func:`total_cost` on the float64 ``(4,)`` array
+    ``evaluate`` guarantees: ``x.tolist()`` goes straight to the chain.
+    """
+    chain = make_case(case_id).chain
+
+    def cost(x):
+        try:
+            return chain(*x.tolist()).total
+        except DomainError:
+            return INFEASIBLE_COST
+
+    return BoundedProblem(name=f"sthe{case_id}", dim=4, lower=LOWER, upper=UPPER, func=cost)
 
 
 def published_tables() -> dict:

@@ -1,15 +1,18 @@
 """Exchanger model tests: physics chain, costs, and the published tables."""
 
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snailopt import sthe
 from snailopt.sthe import (INFEASIBLE_COST, LOWER, UPPER, DomainError,
-                           closeness_direction, closeness_percent,
+                           StheDesign, closeness_direction, closeness_percent,
                            evaluate_design, make_case, make_problem,
                            published_tables, total_cost)
 from build_sthe_data import case_variant
@@ -51,6 +54,12 @@ def test_cached_case_constants_follow_replace():
     assert warmer.lmtd == pytest.approx(30.0 / math.log(55.0 / 25.0), rel=1e-12)
     assert warmer.lmtd != before
     assert case.lmtd == before
+    # the chain too: the replaced case builds its own, the original keeps its cost
+    d = [0.02, 0.8, 0.3, 4.0]
+    cost = total_cost(case, d)
+    assert warmer.chain is not case.chain
+    assert total_cost(warmer, d) != cost
+    assert total_cost(case, d) == cost
 
 
 def test_case_bounds_are_the_documented_box():
@@ -248,11 +257,199 @@ def test_total_cost_maps_domain_errors_to_penalty():
 def test_make_problem_wraps_the_case():
     problem = make_problem(3)
     assert problem.dim == 4
-    case = make_case(3)
     assert np.array_equal(problem.lower, LOWER)
     assert np.array_equal(problem.upper, UPPER)
-    x = np.array([0.015, 0.6, 0.3, 3.0])
-    assert problem.func(x) == total_cost(case, x)
+    lo, hi = problem.lower, problem.upper
+    for case_id in (1, 2, 3):
+        case, func = make_case(case_id), make_problem(case_id).func
+        # a box twice as wide: about 15 of 16 points are infeasible
+        rng = np.random.default_rng(case_id)
+        points = lo - (hi - lo) / 2.0 + rng.random((2000, 4)) * 2.0 * (hi - lo)
+        for j, bad in enumerate((math.nan, math.inf, -math.inf)):
+            points[j, j] = bad
+        values = [(func(x).hex(), total_cost(case, x).hex()) for x in points]
+        assert all(a == b for a, b in values)
+        assert 0 < sum(a == INFEASIBLE_COST.hex() for a, _ in values) < len(values)
+
+
+# ---------------------------------------------------------------------------
+# the case's chain against the evaluation it replaced
+# ---------------------------------------------------------------------------
+
+# The per-call evaluation the chain replaced, kept verbatim as the oracle:
+# every field of every design must have the same bits (float.hex).
+
+def oracle_nusselt(case, re_t, pr_t, f_t, d_i, length):
+    if re_t < 2300.0:
+        x = re_t * pr_t * d_i / length
+        num = 0.0677 * x ** 1.33
+        den = 1.0 + 0.1 * pr_t * (re_t * d_i / length) ** 0.3
+        return 3.657 + num / den
+    if re_t < 1.0e4:
+        fac = f_t / 8.0
+        num = fac * (re_t - 1000.0) * pr_t
+        den = 1.0 + 12.7 * math.sqrt(fac) * (pr_t ** (2.0 / 3.0) - 1.0)
+        return num / den * (1.0 + (d_i / length) ** 0.67)
+    return (
+        0.027 * re_t ** 0.8 * pr_t ** (1.0 / 3.0) * case.tube.wall_correction
+    )
+
+
+def oracle_design(case, d):
+    vec = np.asarray(d, dtype=float)
+    if vec.shape != (4,):
+        raise DomainError(f"decision vector must have shape (4,); got {vec.shape}")
+    x = vec.tolist()
+    if not all(lo <= v <= hi for lo, v, hi in zip(LOWER, x, UPPER)):
+        raise DomainError(f"decision vector {x} outside case-{case.case_id} bounds")
+    d_o, shell_d, baffle, length = x
+
+    d_i = sthe.BORE_RATIO * d_o
+    pitch = sthe.PITCH_RATIO * d_o
+    clearance = sthe.CLEARANCE_RATIO * d_o
+    k1, n1 = sthe.LAYOUT_CONSTANTS[(case.layout, case.passes)]
+    tube_count = k1 * (shell_d / d_o) ** n1
+
+    tube, shell = case.tube, case.shell
+    flow_area = math.pi / 4.0 * d_i * d_i * tube_count / case.passes
+    v_t = tube.mass_flow / (tube.density * flow_area)
+    re_t = tube.density * v_t * d_i / tube.viscosity
+    pr_t = tube.prandtl
+    if re_t <= 0.0 or not math.isfinite(re_t):
+        raise DomainError("tube-side Reynolds number out of domain")
+    f_t = (1.82 * math.log10(re_t) - 1.64) ** -2
+    nu_t = oracle_nusselt(case, re_t, pr_t, f_t, d_i, length)
+    h_t = nu_t * tube.conductivity / d_i
+    dp_t = (
+        tube.density * v_t * v_t / 2.0
+        * ((length / d_i) * f_t + case.elbow_loss)
+        * case.passes
+    )
+
+    cross_area = shell_d * baffle * clearance / pitch
+    if case.layout == "triangular":
+        d_e = 4.0 * (0.43 * pitch * pitch - math.pi * d_o * d_o / 8.0) / (
+            math.pi * d_o / 2.0
+        )
+    else:
+        d_e = 4.0 * (pitch * pitch - math.pi * d_o * d_o / 4.0) / (math.pi * d_o)
+    v_s = shell.mass_flow / (shell.density * cross_area)
+    re_s = shell.density * v_s * d_e / shell.viscosity
+    pr_s = shell.prandtl
+    h_s = (
+        0.36
+        * (shell.conductivity / d_e)
+        * re_s ** 0.55
+        * pr_s ** (1.0 / 3.0)
+        * shell.wall_correction
+    )
+    f_s = 1.44 * re_s ** -0.15
+    dp_s = (
+        shell.density * v_s * v_s / 2.0
+        * (length / baffle)
+        * (shell_d / d_e)
+        * f_s
+    )
+
+    u = 1.0 / (
+        1.0 / h_s
+        + shell.fouling
+        + (d_o / d_i) * (tube.fouling + 1.0 / h_t)
+    )
+    lmtd = case.lmtd
+    f_corr = case.correction_factor
+    if case.area_convention == "geometry":
+        area = math.pi * d_o * length * tube_count
+    else:
+        area = case.duty / (u * f_corr * lmtd)
+    if not (area > 0.0 and math.isfinite(area)):
+        raise DomainError("required area out of domain")
+
+    investment = sthe.BASE_COST + sthe.AREA_COEFF * area ** sthe.AREA_EXP
+    p_tube = tube.mass_flow * dp_t / tube.density
+    p_shell = shell.mass_flow * dp_s / shell.density
+    if case.efficiency_on_shell:
+        power = (p_tube + p_shell) / case.pump_efficiency
+    else:
+        power = p_tube / case.pump_efficiency + p_shell
+    annual = sthe.ENERGY_PRICE * sthe.HOURS_PER_YEAR * power / 1000.0
+    discounted = annual * sthe.ANNUITY
+    total = investment + discounted
+    if not math.isfinite(total):
+        raise DomainError("cost diverged")
+
+    return StheDesign(
+        d_o, d_i, shell_d, baffle, length, pitch, clearance, case.passes,
+        tube_count, v_t, re_t, pr_t, h_t, f_t, dp_t,
+        cross_area, d_e, v_s, re_s, pr_s, h_s, f_s, dp_s,
+        u, lmtd, f_corr, area,
+        investment, annual, discounted, total, power,
+    )
+
+
+def hexed(design):
+    """Every field's type and bits."""
+    assert type(design) is StheDesign and len(design) == 32
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in design]
+
+
+def domain_error(evaluate, case, d):
+    with pytest.raises(DomainError) as info:
+        evaluate(case, d)
+    return str(info.value)
+
+
+VARIANTS = [dataclasses.replace(make_case(cid), layout=layout, passes=passes,
+                                area_convention=area, efficiency_on_shell=on_shell)
+            for cid, layout, passes, area, on_shell in itertools.product(
+                (1, 2, 3), ("triangular", "square"), (1, 2, 4),
+                ("duty", "geometry"), (False, True))]
+IN_BOX = 600  # per variant, with 8 face points and 16 corners: 45k in all
+
+
+def box_points(seed):
+    """Seeded in-box points, one on each face and every corner."""
+    lo, hi = np.array(LOWER), np.array(UPPER)
+    rng = np.random.default_rng(seed)
+    points = lo + rng.random((IN_BOX + 8, 4)) * (hi - lo)
+    for k, (j, bound) in enumerate(itertools.product(range(4), (lo, hi))):
+        points[IN_BOX + k, j] = bound[j]
+    corners = np.array(list(itertools.product(*zip(LOWER, UPPER))))
+    return np.vstack([points, corners]).tolist()
+
+
+def test_the_chain_gives_the_bits_of_the_evaluation_it_replaced():
+    regimes = set()
+    for seed, case in enumerate(VARIANTS):
+        for d in box_points(seed):
+            want = oracle_design(case, d)
+            regimes.add((want.re_tube >= 2300.0) + (want.re_tube >= 1.0e4))
+            assert hexed(evaluate_design(case, d)) == hexed(want), (case, d)
+    assert regimes == {0, 1, 2}  # laminar, transition and turbulent
+
+
+def with_stream(case, side, **props):
+    return dataclasses.replace(case, **{side: dataclasses.replace(getattr(case, side), **props)})
+
+
+@pytest.mark.parametrize("case, d, message", [
+    (make_case(2), [0.005, 0.8, 0.3, 4.0], r"decision vector \[0.005, .*\] outside case-2"),
+    (make_case(3), [0.02, 0.8, 0.3, 6.000001], "outside case-3 bounds"),
+    *[(make_case(1), [0.02, 0.8, 0.3, 4.0][:j] + [bad] + [0.02, 0.8, 0.3, 4.0][j + 1:],
+       "outside case-1 bounds")
+      for j in range(4) for bad in (math.nan, math.inf, -math.inf)],
+    (make_case(1), [0.02, 0.8, 0.3], "shape"),
+    (with_stream(make_case(1), "tube", viscosity=-0.0008), [0.02, 0.8, 0.3, 4.0],
+     "tube-side Reynolds"),
+    (with_stream(make_case(1), "shell", fouling=-1.0), [0.02, 0.8, 0.3, 4.0],
+     "required area"),
+    (with_stream(make_case(1), "shell", mass_flow=1e300), [0.02, 0.8, 0.3, 4.0],
+     "cost diverged"),
+])
+def test_the_chain_raises_where_the_evaluation_it_replaced_did(case, d, message):
+    got = domain_error(evaluate_design, case, d)
+    assert got == domain_error(oracle_design, case, d)
+    assert re.search(message, got)
 
 
 # ---------------------------------------------------------------------------
