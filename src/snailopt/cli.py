@@ -1,8 +1,10 @@
 """Command-line front end: ``run``, ``report``, and ``catalog``.
 
 ``run`` executes a campaign described by CLI flags, a JSON config file,
-or both (flags win: each flag given is stored under its config key);
-its trials run in parallel on the CPUs the process may use
+or both (flags win: each flag given is stored under its config key).
+The engine's values (``homes``, ``snails_per_home`` and the rest of
+``ENGINE_KEYS``) have no flags; the config file's ``engine`` block sets
+them.  The trials run in parallel on the CPUs the process may use
 (``taskset`` limits them), with the same artifacts as a serial run.  A
 config that does not construct (a bad value or config file) is a usage
 error: one ``snailopt: error: …`` line, exit status 2, nothing written.
@@ -31,8 +33,8 @@ import sys
 from pathlib import Path
 
 from .benchmarks import CANONICAL_DIMS, CATALOG
-from .harness import (ENGINE_KEYS, STHE_BUDGETS, CampaignConfig,
-                      generate_reports, run_campaign)
+from .harness import (STHE_BUDGETS, CampaignConfig, generate_reports,
+                      run_campaign)
 from .sthe import make_case
 
 
@@ -46,12 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # a flag that is not given sets nothing; one that is given is stored
-    # under its campaign config (or engine) key
+    # under its campaign config key
     p_run = sub.add_parser("run", help="run one campaign",
                            argument_default=argparse.SUPPRESS)
     p_run.add_argument("--config", type=Path,
-                       help="JSON file mirroring the campaign config; "
-                            "flags given here override its values")
+                       help="JSON file mirroring the campaign config, whose "
+                            "'engine' block is the only way to set engine "
+                            "values; flags given here override its values")
     p_run.add_argument("--problem", help="F1..F23 or sthe1|sthe2|sthe3")
     p_run.add_argument("--dim", type=int,
                        help="dimension for scalable benchmarks (default 30)")
@@ -69,16 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip per-trial convergence CSVs")
     p_run.add_argument("--scatter", action="store_true", dest="export_scatter",
                        help="write per-trial colony snapshot CSVs")
-    p_run.add_argument("--homes", type=int,
-                       help="override: number of homes")
-    p_run.add_argument("--snails", type=int, dest="snails_per_home",
-                       metavar="SNAILS", help="override: snails per home")
-    p_run.add_argument("--switch-prob", type=float, dest="home_switch_prob",
-                       metavar="SWITCH_PROB",
-                       help="override: per-iteration home-switch probability")
-    p_run.add_argument("--neighborhood-frac", type=float,
-                       dest="neighborhood_fraction", metavar="NEIGHBORHOOD_FRAC",
-                       help="override: home neighbourhood fraction")
 
     p_rep = sub.add_parser("report", help="build reports from campaigns")
     p_rep.add_argument("--in", dest="results_dir", required=True,
@@ -98,10 +91,7 @@ def config_from_args(args: argparse.Namespace) -> CampaignConfig:
         raise ValueError(f"{args.config}: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError(f"{args.config}: not a JSON object")
-    engine = {k: flags.pop(k) for k in ENGINE_KEYS if k in flags}
     values.update(flags)
-    if engine and isinstance(values.setdefault("engine", {}), dict):
-        values["engine"].update(engine)
     return CampaignConfig.from_dict(values)
 
 

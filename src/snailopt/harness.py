@@ -98,13 +98,6 @@ STHE_BUDGETS = {1: 20_510, 2: 17_235, 3: 44_721}
 ENGINE_KEYS = tuple(f.name for f in dataclasses.fields(ShmsConfig)
                     if f.name not in ("max_evals", "seed"))
 
-#: Retired config switches.  Older summaries embed them as true, which
-#: is dropped; false asked for what no longer exists, so it is refused.
-RETIRED_SWITCHES = {
-    "export_summary": "summary.json is always written",
-    "export_stats": "every loadable campaign enters the statistics tables",
-}
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -204,10 +197,6 @@ class CampaignConfig:
         d = dict(d)
         if (schema := d.pop("schema", CONFIG_SCHEMA)) != CONFIG_SCHEMA:
             raise ValueError(f"config key 'schema' must be {CONFIG_SCHEMA!r}; got {schema!r}")
-        for key, why in RETIRED_SWITCHES.items():
-            if d.pop(key, True) is not True:
-                raise ValueError(f"config key {key!r} is retired and only "
-                                 f"accepts true: {why}")
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")

@@ -73,18 +73,8 @@ def test_config_dict_round_trip():
     assert d["schema"] == "snailopt.campaign_config/1"
     assert CampaignConfig.from_dict(d) == cfg
     assert CampaignConfig.from_dict(json.loads(json.dumps(d))) == cfg
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="surprise"):
         CampaignConfig.from_dict({"problem": "F1", "surprise": 1})
-
-
-def test_config_drops_the_retired_export_summary_switch():
-    # summaries written before a switch was retired embed it as true
-    d = small_cfg("somewhere").to_dict()
-    for key in ("export_summary", "export_stats"):
-        assert CampaignConfig.from_dict({**d, key: True}) == \
-            CampaignConfig.from_dict(d)
-        with pytest.raises(ValueError, match=key):
-            CampaignConfig.from_dict({**d, key: False})
 
 
 def test_documented_config_fields_match_the_dataclass():
@@ -584,7 +574,8 @@ def test_reports_refuse_a_missing_directory(tmp_path):
 
 
 def test_campaigns_opting_out_of_statistics_are_skipped(tmp_path):
-    # a summary stored before export_stats was retired, with the switch off
+    # a summary stored while an export_stats switch existed, with it off:
+    # the key is unknown now
     run_campaign(small_cfg(tmp_path / "a", label="counts"))
     run_campaign(small_cfg(tmp_path / "b", label="private", base_seed=99))
     path = tmp_path / "b" / "summary.json"
@@ -593,7 +584,7 @@ def test_campaigns_opting_out_of_statistics_are_skipped(tmp_path):
     path.write_text(json.dumps(payload))
     generate_reports(tmp_path)
     text = (tmp_path / "report.txt").read_text()
-    assert f"skipped {path}: config key 'export_stats' is retired" in text
+    assert f"skipped {path}: unknown config key(s): ['export_stats']" in text
     assert not (tmp_path / "wilcoxon_pairwise.csv").exists()
 
 
@@ -996,6 +987,8 @@ BAD_CONFIGS = {
     '{"engine": 3}': "'engine'",
     "{\n": "job.json: Expecting property name",
     '{"engine": {"stagnation_tol": NaN}}': "stagnation_tol",
+    '{"engine": {"homes": 0}}': "homes must be >= 1",
+    '{"engine": {"neighborhood_fraction": Infinity}}': "neighborhood_fraction",
 }
 #: refused after the cases above, so that they keep their ids
 FOREIGN_CONFIGS = {'{"schema": "snailopt.campaign_config/9"}': "'schema'",
@@ -1003,13 +996,11 @@ FOREIGN_CONFIGS = {'{"schema": "snailopt.campaign_config/9"}': "'schema'",
 
 
 @pytest.mark.parametrize("flags", [
-    ["--problem", "F16", "--homes", "0"],
     ["--problem", "F16", "--max-evals", "10"],
     ["--problem", "F99"],
     ["--problem", "sthe1", "--dim", "5"],
     ["--config", "missing.json"],
     *(["--config", text] for text in BAD_CONFIGS),
-    ["--problem", "F16", "--neighborhood-frac", "inf"],
     ["--problem", "F16", "--seed", "-1"],
     *(["--config", text] for text in FOREIGN_CONFIGS),
 ])
@@ -1028,6 +1019,30 @@ def test_cli_refuses_a_bad_campaign_before_writing(tmp_path, capsys, flags):
     assert err.splitlines()[-1].startswith("snailopt: error: ")
     assert named in err.splitlines()[-1]
     assert not out.exists()
+
+
+def test_cli_run_has_no_engine_flags(tmp_path, capsys):
+    # engine values are set only in the config file's engine block
+    out = tmp_path / "camp"
+    for flag in ("--homes", "--snails", "--switch-prob", "--neighborhood-frac"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--problem", "F16", flag, "4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"snailopt: error: unrecognized arguments: {flag} 4"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_config_engine_block_reaches_the_engine(tmp_path):
+    # a colony of 2 x 3 fits a budget of 6, the default 3 x 10 does not
+    conf = tmp_path / "job.json"
+    conf.write_text(json.dumps({"engine": {"homes": 2, "snails_per_home": 3}}))
+    assert cli.main(["run", "--config", str(conf), "--problem", "F16",
+                     "--trials", "1", "--max-evals", "6",
+                     "--out", str(tmp_path / "camp")]) == 0
+    record = read_trial_record(tmp_path / "camp" / "trial_000.json")
+    assert record["evals"] == 6
+    assert len(record["best_trace"]) == 1
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
@@ -1112,13 +1127,10 @@ def test_cli_config_file_with_flag_overrides(tmp_path):
     conf.write_text(json.dumps({
         "problem": "F16", "trials": 1, "max_evals": 300,
         "out_dir": str(tmp_path / "camp"), "base_seed": 1,
-        "engine": {"homes": 2},
     }))
-    code = cli.main(["run", "--config", str(conf), "--trials", "2",
-                     "--homes", "4"])
+    code = cli.main(["run", "--config", str(conf), "--trials", "2"])
     assert code == 0
     payload = read_summary(tmp_path / "camp" / "summary.json")
     assert payload["config"]["trials"] == 2        # flag beats file
-    assert payload["config"]["engine"]["homes"] == 4
     assert payload["config"]["max_evals"] == 300   # file value kept
     assert len(payload["record_files"]) == 2
