@@ -23,10 +23,13 @@ slow phase of the machine falls on both sides alike.  The ``pairs``
 block holds, per workload and end-to-end metric, every value, both
 medians, the base's quartiles and the number of pairs the tree won; and
 whether every run of both sides had one and the same fingerprint and
-``orders_gained_mean``.  It also prints one line per workload and
-end-to-end metric: base median -> tree median with the signed change,
-the tree's wins, a flag when the tree's median lies outside the base
-quartiles (better or WORSE), and whether the fingerprints match.
+``orders_gained_mean``.  Each metric also gets the exact two-sided p of
+the paired Wilcoxon signed-rank test, tree against base (``p``), and that
+p adjusted by Holm over every metric of the block (``p_holm``).  It also
+prints one line per workload and end-to-end metric: base median -> tree
+median with the signed change, the tree's wins, both p-values, a flag
+when the tree's median lies outside the base quartiles (better or
+WORSE), and whether the fingerprints match.
 """
 
 from __future__ import annotations
@@ -37,10 +40,15 @@ import re
 import shutil
 import statistics
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this tree's numpy-free statistics
+
+from snailopt.stats import holm, wilcoxon_signed_rank  # noqa: E402
+
 SCHEMA = "snailopt.bench/1"
 SEED = 1
 PAIRS = 10  # the fewest alternating pairs a speed claim may rest on
@@ -104,6 +112,17 @@ def compare(runs: dict, end_to_end: list) -> dict:
     return out
 
 
+def exact_tests(block: dict) -> dict:
+    """Give each metric of a ``pairs`` block its exact paired p, tree
+    against base, and that p adjusted by Holm over the whole block."""
+    metrics = [m for w in block.values() for m in w["metrics"].values()]
+    for m in metrics:
+        m["p"] = wilcoxon_signed_rank(m["tree"], m["base"], paired=True).p_value
+    for m, adjusted in zip(metrics, holm([m["p"] for m in metrics])):
+        m["p_holm"] = adjusted
+    return block
+
+
 def pair_lines(block: dict) -> list[str]:
     """One line per workload and end-to-end metric of a ``pairs`` block."""
     lines = []
@@ -118,7 +137,8 @@ def pair_lines(block: dict) -> list[str]:
                 better = (tree > hi) == (m["better"] == "higher")
                 outside = f", outside the base quartiles ({'better' if better else 'WORSE'})"
             lines.append(f"{workload} {name}: {base:.4g} -> {tree:.4g} {m['unit']} ({change}), "
-                         f"tree wins {m['tree_wins']}/{w['pairs']}{outside}, {prints}")
+                         f"tree wins {m['tree_wins']}/{w['pairs']}, p {m['p']:.2g} "
+                         f"(Holm {m['p_holm']:.2g}){outside}, {prints}")
     return lines
 
 
@@ -163,7 +183,7 @@ def main(argv=None) -> int:
         git("worktree", "add", "--detach", str(base_root), args.base)
         try:
             record["base"] = git("rev-parse", "HEAD", cwd=base_root)
-            record["pairs"] = paired(bench, base_root)
+            record["pairs"] = exact_tests(paired(bench, base_root))
         finally:
             git("worktree", "remove", "--force", str(base_root))
             shutil.rmtree(tmp, ignore_errors=True)

@@ -148,7 +148,8 @@ def main(argv=None) -> int:
     if args.command == "report":
         try:
             return cmd_report(args)
-        except NotADirectoryError as exc:  # a mistyped --in writes nothing
+        # a mistyped --in, or a report.txt that is a directory, writes nothing
+        except (NotADirectoryError, IsADirectoryError) as exc:
             parser.error(str(exc))
     if args.command == "catalog":
         return cmd_catalog()

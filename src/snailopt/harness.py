@@ -63,6 +63,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import os
 import typing
 from dataclasses import dataclass, field
@@ -334,8 +335,16 @@ def write_trial_record(out: Path, record: dict) -> Path:
                         json.dumps(record, allow_nan=False))
 
 
+def _read_json(path):
+    """``path``'s JSON; ``ValueError`` for nesting too deep to parse."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply") from None
+
+
 def read_trial_record(path) -> dict:
-    d = json.loads(Path(path).read_text())
+    d = _read_json(path)
     if not isinstance(d, dict) or d.get("schema") != TRIAL_SCHEMA:
         raise ValueError(f"{path}: not a {TRIAL_SCHEMA} file")
     if not all(type(d.get(k)) in (int, float) for k in ("final_f", "evals", "wall_time")):
@@ -431,7 +440,7 @@ def write_summary(out: Path, cfg: CampaignConfig, summary: CampaignSummary,
 
 
 def read_summary(path) -> dict:
-    d = json.loads(Path(path).read_text())
+    d = _read_json(path)
     if not isinstance(d, dict) or d.get("schema") != SUMMARY_SCHEMA:
         raise ValueError(f"{path}: not a {SUMMARY_SCHEMA} file")
     return d
@@ -563,14 +572,47 @@ def load_campaign(summary_path) -> tuple[CampaignConfig, CampaignSummary, dict]:
     return cfg, summarize(cfg, records), payload
 
 
+def _check_record(name: str, rec: dict, cfg: CampaignConfig, budget: int) -> None:
+    """Raise ``ValueError`` naming ``name`` and the field unless trial
+    record ``rec`` is one of ``cfg``'s: its problem key and budget, int
+    ``trial`` and ``evals`` with 1 <= evals <= max_evals, a non-empty,
+    non-increasing ``best_trace`` of finite numbers that ends at
+    ``final_f``, and a ``final_x`` of the problem's dimension."""
+    trace, evals = rec["best_trace"], rec["evals"]
+    if rec["problem"] != cfg.problem_key:
+        raise ValueError(f"{name}: 'problem' {rec['problem']!r} is not the "
+                         f"campaign's {cfg.problem_key!r}")
+    if rec["max_evals"] != budget:
+        raise ValueError(f"{name}: 'max_evals' {rec['max_evals']!r} is not the campaign's budget")
+    if type(rec["trial"]) is not int:
+        raise ValueError(f"{name}: 'trial' {rec['trial']!r} is not an int")
+    if type(evals) is not int or not 1 <= evals <= budget:
+        raise ValueError(f"{name}: 'evals' {evals!r} is not an int in [1, max_evals]")
+    # non-increasing (a NaN compares false) between finite ends: all finite
+    if not (isinstance(trace, list) and trace and set(map(type, trace)) <= {int, float}
+            and math.isfinite(trace[0]) and math.isfinite(trace[-1])
+            and trace[-1] == rec["final_f"] and all(map(operator.ge, trace, trace[1:]))):
+        raise ValueError(f"{name}: 'best_trace' is not a non-increasing list of "
+                         "finite numbers that ends at final_f")
+    if not isinstance(rec["final_x"], list) or len(rec["final_x"]) != cfg.problem_dim:
+        raise ValueError(f"{name}: 'final_x' does not hold {cfg.problem_dim} entries")
+
+
 def _check_finals(summary_path, cfg: CampaignConfig, payload: dict) -> dict:
     """The records' ``final_f`` by seed, the report's pairing key; raises
-    ``ValueError`` unless each seed is ``base_seed + trial`` and its own,
-    ``finals`` is the records' ``final_f`` in order and exchanger costs > 0."""
-    base = Path(summary_path).parent
+    ``ValueError`` unless each record is one of the campaign's
+    (:func:`_check_record`), each seed is ``base_seed + trial`` and its own,
+    ``finals`` is the records' ``final_f`` in order and exchanger costs > 0.
+
+    The record checks live here, in the report's pass, and not in
+    :func:`load_campaign`, which must still load a record that
+    contradicts its campaign so that perfbench's ``check_campaign`` can
+    name each violation."""
+    base, budget = Path(summary_path).parent, default_budget(cfg)
     finals = {}
     for name in payload["record_files"]:
         rec = read_trial_record(base / name)
+        _check_record(name, rec, cfg, budget)
         if rec["seed"] != cfg.base_seed + rec["trial"] or rec["seed"] in finals:
             raise ValueError(f"{name}: seed {rec['seed']!r} is not base_seed + trial or repeats")
         finals[rec["seed"]] = rec["final_f"]
@@ -610,12 +652,19 @@ def generate_reports(results_dir) -> list[Path]:
     least two campaigns share a problem and ``closeness_sthe.csv`` when
     exchanger campaigns exist, and deletes a stale copy of either table
     it does not write.  Each campaign is loaded once and keeps one name
-    in every file (see the module docstring).  Returns the written paths.
-    Raises ``NotADirectoryError`` when ``results_dir`` is not a directory.
+    in every file (see the module docstring); one that does not load, or
+    whose records contradict it (:func:`_check_finals`), is skipped with
+    a notice.  Returns the written paths.
+    Raises ``NotADirectoryError`` when ``results_dir`` is not a directory
+    and ``IsADirectoryError`` when its ``report.txt`` is one, before
+    writing anything; a table path that is a directory gets a notice.
     """
     root = Path(results_dir)
     if not root.is_dir():
         raise NotADirectoryError(f"{root} is not a directory of results")
+    if (root / "report.txt").is_dir():
+        raise IsADirectoryError(f"{root / 'report.txt'} is a directory; "
+                                "the report cannot be written")
     written: list[Path] = []
     notices: list[str] = []
 
@@ -636,7 +685,9 @@ def generate_reports(results_dir) -> list[Path]:
     def write_or_drop(name, rows):
         """Write table ``name``, or delete a stale copy when ``rows`` is empty."""
         path = root / name
-        if rows:
+        if path.is_dir():
+            notices.append(f"{name} is a directory; table not written")
+        elif rows:
             written.append(write_table_csv(path, rows))
         elif path.exists():
             path.unlink()
@@ -644,8 +695,7 @@ def generate_reports(results_dir) -> list[Path]:
         return bool(rows)
 
     # Friedman table from the bundled published means (always available)
-    written.append(write_table_csv(root / "friedman_published.csv",
-                                   published_friedman_rows()))
+    write_or_drop("friedman_published.csv", published_friedman_rows())
 
     # campaigns on one problem pair on their shared seeds (common random
     # numbers); sharing none, all their finals are independent samples

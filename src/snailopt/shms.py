@@ -61,6 +61,8 @@ __all__ = [
     "Anchor",
     "ColonyState",
     "RunRecord",
+    "STAGNATION_TOL",
+    "STAGNATION_WINDOW",
     "ShmsConfig",
     "SnailState",
     "init_colony",
@@ -78,6 +80,11 @@ _EPS_DEN = 1e-30
 
 #: largest dimension whose candidate moves run on Python floats
 FLOAT_MOVE_DIM = 12
+
+#: the stagnation stop: a run ends once the global best has improved by
+#: less than ``STAGNATION_TOL`` over the last ``STAGNATION_WINDOW`` iterations
+STAGNATION_WINDOW = 200
+STAGNATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,11 +106,6 @@ class ShmsConfig:
         home and resettling near another home's anchor.
     max_evals : int
         Objective evaluation budget (>= homes * snails_per_home).
-    stagnation_window : int
-        Stop when the global best improves by less than
-        ``stagnation_tol`` over this many iterations.
-    stagnation_tol : float
-        Minimum improvement considered progress.
     seed : int
         Seed for the run's random stream (>= 0).
     """
@@ -113,8 +115,6 @@ class ShmsConfig:
     neighborhood_fraction: float = 0.1
     home_switch_prob: float = 0.1
     max_evals: int = 30_000
-    stagnation_window: int = 200
-    stagnation_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -128,10 +128,6 @@ class ShmsConfig:
             raise ValueError("home_switch_prob must be in [0, 1]")
         if self.max_evals < self.homes * self.snails_per_home:
             raise ValueError("max_evals must cover at least the initial population")
-        if self.stagnation_window < 1:
-            raise ValueError("stagnation_window must be >= 1")
-        if not (0.0 <= self.stagnation_tol < math.inf):
-            raise ValueError("stagnation_tol must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -452,7 +448,8 @@ def step(colony: ColonyState, problem: BoundedProblem, cfg: ShmsConfig,
 
 
 def run(problem: BoundedProblem, cfg: ShmsConfig, observer=None) -> RunRecord:
-    """Run SHMS on ``problem`` until the budget or stagnation stops it.
+    """Run SHMS on ``problem`` until the budget or stagnation stops it
+    (see ``STAGNATION_WINDOW`` and ``STAGNATION_TOL``).
 
     Parameters
     ----------
@@ -471,13 +468,13 @@ def run(problem: BoundedProblem, cfg: ShmsConfig, observer=None) -> RunRecord:
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     colony = init_colony(problem, cfg, rng)
-    trace, w = [], cfg.stagnation_window
+    trace, w = [], STAGNATION_WINDOW
     while True:
         trace.append(colony.global_best.f)
         if observer is not None:
             observer(colony)
         if colony.counter.count >= cfg.max_evals or (
-                len(trace) > w and trace[-1 - w] - trace[-1] < cfg.stagnation_tol):
+                len(trace) > w and trace[-1 - w] - trace[-1] < STAGNATION_TOL):
             break
         step(colony, problem, cfg, rng)
     return RunRecord(

@@ -15,6 +15,7 @@ workflow on per-problem result vectors:
   approximation with continuity and tie corrections beyond that.
 * :func:`friedman_ranks` — mean ranks across problems (ascending:
   rank 1 is best for minimization) plus the final ordering.
+* :func:`holm` — Holm's step-down adjustment of a family of p-values.
 
 Both need only midranks (exact halves, so rank sums are exact in any
 order) and the normal branch one tail probability, from :func:`math.erfc`:
@@ -32,6 +33,7 @@ __all__ = [
     "FriedmanResult",
     "WilcoxonResult",
     "friedman_ranks",
+    "holm",
     "wilcoxon_signed_rank",
 ]
 
@@ -245,3 +247,20 @@ def friedman_ranks(mean_matrix, labels=None) -> FriedmanResult:
         ordering[j] = rank
     return FriedmanResult(labels=labels, mean_ranks=mean_ranks,
                           ordering=tuple(ordering))
+
+
+def holm(pvalues) -> list[float]:
+    """Holm's step-down adjusted p-values, in the order given.
+
+    The i-th smallest of m p-values (i from 0) becomes ``(m - i) * p``,
+    capped at 1 and raised to the largest adjusted value before it, so the
+    adjusted values keep the p-values' order (Holm 1979, Scand. J. Stat.).
+    Rejecting where the adjusted value is at most alpha holds the
+    family-wise error rate at alpha.
+    """
+    p = _floats(pvalues)
+    adjusted, running = [0.0] * len(p), 0.0
+    for i, k in enumerate(sorted(range(len(p)), key=p.__getitem__)):
+        running = max(running, min(1.0, (len(p) - i) * p[k]))
+        adjusted[k] = running
+    return adjusted

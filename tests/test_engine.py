@@ -12,8 +12,8 @@ from scipy import stats as sps
 
 from snailopt.benchmarks import make_benchmark
 from snailopt.objective import BoundedProblem, EvalCounter
-from snailopt.shms import (LARGE_LD, Anchor, ColonyState, ShmsConfig,
-                           SnailState, _mate, init_colony, run,
+from snailopt.shms import (LARGE_LD, STAGNATION_WINDOW, Anchor, ColonyState,
+                           ShmsConfig, SnailState, _mate, init_colony, run,
                            selection_probabilities, step,
                            trail_following_update)
 
@@ -399,12 +399,8 @@ def test_snails_start_within_c_of_their_anchor():
     {"home_switch_prob": -0.1},
     {"home_switch_prob": 1.5},
     {"homes": 5, "snails_per_home": 10, "max_evals": 49},
-    {"stagnation_window": 0},
-    {"stagnation_tol": -1e-9},
     {"neighborhood_fraction": float("inf")},
     {"neighborhood_fraction": float("nan")},
-    {"stagnation_tol": float("inf")},
-    {"stagnation_tol": float("nan")},
     {"seed": -1},
 ])
 def test_config_rejects_invalid_values(kwargs):
@@ -438,10 +434,9 @@ def test_run_stops_on_stagnation():
         lower=np.full(2, -1.0), upper=np.full(2, 1.0),
         func=lambda x: 1.0,
     )
-    cfg = ShmsConfig(max_evals=1_000_000, stagnation_window=5, seed=0)
-    rec = run(problem, cfg)
+    rec = run(problem, ShmsConfig(max_evals=1_000_000, seed=0))
     assert rec.evals < 10_000
-    assert len(rec.best_trace) <= cfg.stagnation_window + 2
+    assert len(rec.best_trace) <= STAGNATION_WINDOW + 2
     assert rec.final_f == 1.0
 
 

@@ -759,7 +759,7 @@ def test_nonpositive_exchanger_cost_is_reported_not_fatal(tmp_path, capsys):
     out = tmp_path / "damaged"
     trial = json.loads((out / "trial_000.json").read_text())
     summary = json.loads((out / "summary.json").read_text())
-    trial["final_f"] = summary["finals"][0] = -5.0
+    trial["final_f"] = trial["best_trace"][-1] = summary["finals"][0] = -5.0
     (out / "trial_000.json").write_text(json.dumps(trial))
     (out / "summary.json").write_text(json.dumps(summary))
     assert cli.main(["report", "--in", str(tmp_path)]) == 0
@@ -783,6 +783,37 @@ def test_missing_trial_file_is_reported_not_fatal(tmp_path):
     text = (tmp_path / "report.txt").read_text()
     assert "skipped" in text and "trial_001.json" in text
     assert "campaigns found: 1" in text and "intact" in text
+
+
+@pytest.mark.parametrize("where, key, edit", [
+    ("config", "problem", lambda v: "F17"),
+    ("config", "max_evals", lambda v: 301),
+    ("config", "max_evals", lambda v: 10**400),
+    ("trial", "max_evals", lambda v: 301),
+    ("trial", "evals", lambda v: 999),
+    ("trial", "problem", lambda v: "F17-d2"),
+    ("trial", "best_trace", lambda t: t[:-1] + [-5.0]),
+    ("trial", "final_x", lambda x: x[:-1]),
+], ids=["config-problem", "config-budget", "config-budget-huge", "record-budget",
+        "record-evals", "record-problem", "record-trace-end", "record-final-x-short"])
+def test_a_record_that_contradicts_its_campaign_is_reported_not_fatal(
+        tmp_path, where, key, edit):
+    # each edit leaves every file loadable; the report's own pass refuses
+    # the campaign, naming trial_000.json and the field that disagrees
+    run_campaign(small_cfg(tmp_path / "intact", label="intact"))
+    run_campaign(small_cfg(tmp_path / "damaged", label="damaged"))
+    summary = tmp_path / "damaged" / "summary.json"
+    path = summary if where == "config" else tmp_path / "damaged" / "trial_000.json"
+    payload = json.loads(path.read_text())
+    edited = payload["config"] if where == "config" else payload
+    edited[key] = edit(edited[key])
+    path.write_text(json.dumps(payload))
+    load_campaign(summary)  # the loader itself still accepts the campaign
+    generate_reports(tmp_path)
+    text = (tmp_path / "report.txt").read_text()
+    assert f"note: skipped {summary}: trial_000.json: '{key}' " in text
+    assert "campaigns found: 1" in text and "  intact " in text
+    assert not (tmp_path / "wilcoxon_pairwise.csv").exists()
 
 
 def test_summary_invariants_raise_value_error():
@@ -986,13 +1017,15 @@ BAD_CONFIGS = {
     '{"base_seed": "1"}': "'base_seed'",
     '{"engine": 3}': "'engine'",
     "{\n": "job.json: Expecting property name",
-    '{"engine": {"stagnation_tol": NaN}}': "stagnation_tol",
+    '{"engine": {"home_switch_prob": NaN}}': "home_switch_prob",
     '{"engine": {"homes": 0}}': "homes must be >= 1",
     '{"engine": {"neighborhood_fraction": Infinity}}': "neighborhood_fraction",
 }
-#: refused after the cases above, so that they keep their ids
+#: refused after the cases above, so that they keep their ids; the stop
+#: rule's window is an engine constant, not an engine key
 FOREIGN_CONFIGS = {'{"schema": "snailopt.campaign_config/9"}': "'schema'",
-                   '[{"problem": "F16"}]': "job.json: not a JSON object"}
+                   '[{"problem": "F16"}]': "job.json: not a JSON object",
+                   '{"engine": {"stagnation_window": 5}}': "'stagnation_window'"}
 
 
 @pytest.mark.parametrize("flags", [
@@ -1071,6 +1104,47 @@ def test_cli_report_refuses_a_missing_directory(tmp_path, capsys):
             if line.startswith("snailopt: error: ")] == [err.splitlines()[-1]]
     assert str(missing) in err.splitlines()[-1]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("table", ["wilcoxon_pairwise.csv", "closeness_sthe.csv"])
+def test_cli_report_notes_a_table_path_that_is_a_directory(tmp_path, capsys, table):
+    for label in ("a", "b"):  # two exchanger campaigns: both tables have rows
+        run_campaign(CampaignConfig(problem="sthe1", trials=5, max_evals=300,
+                                    label=label, out_dir=str(tmp_path / label)))
+    (tmp_path / table).mkdir()
+    assert cli.main(["report", "--in", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert str(tmp_path / table) not in printed
+    other = ({"wilcoxon_pairwise.csv", "closeness_sthe.csv"} - {table}).pop()
+    assert str(tmp_path / other) in printed
+    assert (tmp_path / table).is_dir()
+    assert f"note: {table} is a directory; table not written" in \
+        (tmp_path / "report.txt").read_text()
+
+
+def test_cli_report_refuses_a_report_txt_that_is_a_directory(tmp_path, capsys):
+    run_campaign(small_cfg(tmp_path / "camp"))
+    (tmp_path / "report.txt").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("snailopt: error: ")
+    assert str(tmp_path / "report.txt") in err.splitlines()[-1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["camp", "report.txt"]
+
+
+def test_cli_report_skips_a_summary_nested_too_deep(tmp_path, capsys):
+    run_campaign(small_cfg(tmp_path / "intact", label="intact"))
+    deep = tmp_path / "deep" / "summary.json"
+    deep.parent.mkdir()
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["report", "--in", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    text = (tmp_path / "report.txt").read_text()
+    assert f"note: skipped {deep}: {deep}: nested too deeply" in text
+    assert "campaigns found: 1" in text
 
 
 def test_cli_config_file_takes_an_integer_for_a_float(tmp_path):

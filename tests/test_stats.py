@@ -12,7 +12,8 @@ from scipy.stats import rankdata
 
 from snailopt.harness import write_table_csv
 from snailopt.stats import (EXACT_LIMIT, WilcoxonResult, _exact_two_sided_p,
-                            _midranks, friedman_ranks, wilcoxon_signed_rank)
+                            _midranks, friedman_ranks, holm,
+                            wilcoxon_signed_rank)
 from table_io import read_table_csv
 
 
@@ -323,6 +324,23 @@ def test_friedman_shape_and_label_validation():
         friedman_ranks(np.ones((2, 2, 2)))
     with pytest.raises(ValueError):
         friedman_ranks(3.0)
+
+
+# ---------------------------------------------------------------------------
+# Holm
+# ---------------------------------------------------------------------------
+
+def test_holm_steps_down_keeps_the_order_and_caps_at_one():
+    # sorted: 0.005 * 4 = 0.02, 0.01 * 3 = 0.03, 0.03 * 2 = 0.06, then
+    # 0.04 * 1 = 0.04 is raised to the 0.06 before it
+    assert holm([0.01, 0.04, 0.03, 0.005]) == pytest.approx([0.03, 0.06, 0.06, 0.02])
+    # 0.2 * 3 = 0.6, 0.4 * 2 = 0.8, 0.7 raised to 0.8; 0.6 * 2 = 1.2 capped
+    assert holm([0.4, 0.7, 0.2]) == pytest.approx([0.8, 0.8, 0.6])
+    assert holm([0.6, 0.7]) == [1.0, 1.0]
+    assert holm([0.03]) == [0.03]
+    assert holm([]) == []
+    with pytest.raises(ValueError):
+        holm([[0.1]])
 
 
 # ---------------------------------------------------------------------------
