@@ -25,11 +25,13 @@ medians, the base's quartiles and the number of pairs the tree won; and
 whether every run of both sides had one and the same fingerprint and
 ``orders_gained_mean``.  Each metric also gets the exact two-sided p of
 the paired Wilcoxon signed-rank test, tree against base (``p``), and that
-p adjusted by Holm over every metric of the block (``p_holm``).  It also
-prints one line per workload and end-to-end metric: base median -> tree
-median with the signed change, the tree's wins, both p-values, a flag
-when the tree's median lies outside the base quartiles (better or
-WORSE), and whether the fingerprints match.
+p adjusted by Holm over every metric of the block (``p_holm``), and the
+claim rule's three flags, judged with the metric's ``bound`` from
+``BENCHMARK.json`` (:func:`claim_flags`): ``gain_shown``,
+``worse_beyond_bound`` and ``unresolved``.  It also prints one line per
+workload and end-to-end metric: base median -> tree median with the
+signed change, the tree's wins, both p-values, the flags that hold, and
+whether the fingerprints match.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ from snailopt.stats import holm, wilcoxon_signed_rank  # noqa: E402
 SCHEMA = "snailopt.bench/1"
 SEED = 1
 PAIRS = 10  # the fewest alternating pairs a speed claim may rest on
+#: the claim rule's flags (:func:`claim_flags`), as a printed line names them
+FLAGS = (("gain_shown", "gain shown"), ("worse_beyond_bound", "WORSE beyond bound"),
+         ("unresolved", "unresolved"))
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -123,6 +128,29 @@ def exact_tests(block: dict) -> dict:
     return block
 
 
+def claim_flags(block: dict, end_to_end: list) -> dict:
+    """Give each metric of a ``pairs`` block the claim rule's three flags,
+    with the metric's ``bound`` from ``end_to_end`` as a share of the base
+    median: ``gain_shown`` when the tree won at least nine tenths of the
+    pairs and its median beats the base's by more than the base's
+    interquartile distance; ``worse_beyond_bound`` when the tree's median
+    is worse than the base's by more than the bound; ``unresolved`` when
+    the base's interquartile distance exceeds the bound and not every
+    tree run beats every base run."""
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
+    for w in block.values():
+        for name, m in w["metrics"].items():
+            sign = -1.0 if m["better"] == "lower" else 1.0
+            lo, hi = m["base_quartiles"]
+            bound = bounds[name] * abs(m["base_median"])
+            gain = sign * (m["tree_median"] - m["base_median"])
+            m["gain_shown"] = 10 * m["tree_wins"] >= 9 * w["pairs"] and gain > hi - lo
+            m["worse_beyond_bound"] = -gain > bound
+            m["unresolved"] = (hi - lo > bound and
+                               min(sign * t for t in m["tree"]) <= max(sign * b for b in m["base"]))
+    return block
+
+
 def pair_lines(block: dict) -> list[str]:
     """One line per workload and end-to-end metric of a ``pairs`` block."""
     lines = []
@@ -131,14 +159,10 @@ def pair_lines(block: dict) -> list[str]:
         for name, m in w["metrics"].items():
             base, tree = m["base_median"], m["tree_median"]
             change = f"{(tree - base) / abs(base):+.1%}" if base else "n/a"
-            lo, hi = m["base_quartiles"]
-            outside = ""
-            if not lo <= tree <= hi:
-                better = (tree > hi) == (m["better"] == "higher")
-                outside = f", outside the base quartiles ({'better' if better else 'WORSE'})"
+            flags = "".join(f", {label}" for key, label in FLAGS if m[key])
             lines.append(f"{workload} {name}: {base:.4g} -> {tree:.4g} {m['unit']} ({change}), "
                          f"tree wins {m['tree_wins']}/{w['pairs']}, p {m['p']:.2g} "
-                         f"(Holm {m['p_holm']:.2g}){outside}, {prints}")
+                         f"(Holm {m['p_holm']:.2g}){flags}, {prints}")
     return lines
 
 
@@ -183,7 +207,8 @@ def main(argv=None) -> int:
         git("worktree", "add", "--detach", str(base_root), args.base)
         try:
             record["base"] = git("rev-parse", "HEAD", cwd=base_root)
-            record["pairs"] = exact_tests(paired(bench, base_root))
+            record["pairs"] = claim_flags(exact_tests(paired(bench, base_root)),
+                                          bench["end_to_end"])
         finally:
             git("worktree", "remove", "--force", str(base_root))
             shutil.rmtree(tmp, ignore_errors=True)

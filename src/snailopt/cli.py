@@ -6,8 +6,9 @@ The engine's values (``homes``, ``snails_per_home`` and the rest of
 ``ENGINE_KEYS``) have no flags; the config file's ``engine`` block sets
 them.  The trials run in parallel on the CPUs the process may use
 (``taskset`` limits them), with the same artifacts as a serial run.  A
-config that does not construct (a bad value or config file) is a usage
-error: one ``snailopt: error: …`` line, exit status 2, nothing written.
+config that does not construct (a bad value, or a config file that is
+not JSON, nests too deeply or is not an object) is a usage error: one
+``snailopt: error: …`` line, exit status 2, nothing written.
 ``report`` builds the statistics artifacts from a directory of
 campaigns, and refuses one that does not exist the same way.
 ``catalog`` lists the solvable problems.
@@ -26,13 +27,13 @@ Examples
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 from pathlib import Path
 
 from .benchmarks import CANONICAL_DIMS, CATALOG
+from .data import read_json
 from .harness import (STHE_BUDGETS, CampaignConfig, generate_reports,
                       run_campaign)
 from .sthe import make_case
@@ -85,12 +86,7 @@ def config_from_args(args: argparse.Namespace) -> CampaignConfig:
     """Merge the optional config file and the flags given (flags win)."""
     flags = {k: v for k, v in vars(args).items()
              if k not in ("command", "verbose", "config")}
-    try:
-        values = json.loads(args.config.read_text()) if "config" in args else {}
-    except ValueError as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
-    if not isinstance(values, dict):
-        raise ValueError(f"{args.config}: not a JSON object")
+    values = read_json(args.config) if "config" in args else {}
     values.update(flags)
     return CampaignConfig.from_dict(values)
 

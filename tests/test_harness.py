@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import pickle
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -404,6 +405,11 @@ def test_readers_reject_foreign_files(tmp_path):
         read_trial_record(bogus)
     with pytest.raises(ValueError):
         read_summary(bogus)
+    truncated = tmp_path / "cut.json"
+    truncated.write_text("{")
+    for reader in (read_trial_record, read_summary):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(truncated))}: Expecting"):
+            reader(truncated)
     csv_file = tmp_path / "x.csv"
     csv_file.write_text("iteration,best_f\n0,1.0\n")
     with pytest.raises(ValueError):
@@ -1025,7 +1031,8 @@ BAD_CONFIGS = {
 #: rule's window is an engine constant, not an engine key
 FOREIGN_CONFIGS = {'{"schema": "snailopt.campaign_config/9"}': "'schema'",
                    '[{"problem": "F16"}]': "job.json: not a JSON object",
-                   '{"engine": {"stagnation_window": 5}}': "'stagnation_window'"}
+                   '{"engine": {"stagnation_window": 5}}': "'stagnation_window'",
+                   "[" * 100_000 + "]" * 100_000: "job.json: nested too deeply"}
 
 
 @pytest.mark.parametrize("flags", [
